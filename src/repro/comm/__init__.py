@@ -4,9 +4,10 @@ This package replaces the MPI + NCCL + Aluminum stack used by the paper's
 LBANN implementation with a functionally equivalent runtime:
 
 * :mod:`repro.comm.backend` — the SPMD harness (:func:`run_spmd`), the
-  abstract world/channel contract, the backend registry, and the default
-  **thread** backend (one Python thread per rank over shared mailboxes and
-  rendezvous state).
+  abstract world contract (transport only: ``deliver``/``collect``/
+  ``try_collect``/``abort``/``rank_stats``), the backend registry, and the
+  default **thread** backend (one Python thread per rank over shared
+  mailboxes).
 * :mod:`repro.comm.proc_backend` — the **process** backend: one forked OS
   process per rank with a shared-memory arena transport, so ranks execute
   in genuine parallel.  Select it with ``run_spmd(..., backend="process")``
@@ -21,8 +22,9 @@ LBANN implementation with a functionally equivalent runtime:
 * :mod:`repro.comm.communicator` — the :class:`Communicator` API
   (``send``/``recv``/``sendrecv``/``allreduce``/``allgather``/``alltoall``/
   ``bcast``/``barrier``/``split``), mirroring mpi4py's lower-case object
-  interface; backend-agnostic, and bitwise-reproducible across backends
-  for a fixed rank count.
+  interface.  Every collective is a schedule over the world's
+  point-to-point calls (:mod:`repro.comm.algorithms`), so results are
+  bitwise-reproducible across backends for a fixed rank count.
 * :mod:`repro.comm.stats` — per-rank communication statistics (bytes,
   message and collective counts) used by tests and benchmarks to verify the
   communication-volume formulas of the paper's Section V.

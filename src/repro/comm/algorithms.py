@@ -27,7 +27,9 @@ Compiled schedules (``compile_allreduce``):
 
 Binomial trees (``compile_tree``) route the rooted collectives —
 bcast / reduce / gather / scatter — in ``⌈lg p⌉`` rounds instead of ``p-1``
-messages in or out of the root.
+messages in or out of the root.  The ``"direct"`` mode is the one-round
+schedule: :class:`DirectExchange` ships each contribution straight to the
+members that read it, over the same primitives.
 
 Determinism contract
 --------------------
@@ -658,6 +660,98 @@ class ScheduleRunner:
     @property
     def complete(self) -> bool:
         return self._pos >= len(self._steps)
+
+
+class DirectExchange:
+    """The ``"direct"`` collective: one round of point-to-point messages.
+
+    Construction sends this rank's (frozen) contribution to every peer that
+    reads it, under the tag ``(comm key, ("#coll", seq))``;
+    :meth:`progress` probes and :meth:`finish` blocks for the slots this
+    rank reads.  The caller combines the returned slot list in comm-rank
+    order, so results are bitwise identical on every backend.  Sends are
+    eager, so a nonblocking collective never waits for peers to *read*.
+
+    Routing narrows the default allgather (every slot to every member):
+
+    * ``needs(j)`` — identical on every member, derived from shared
+      arguments like the root — names the comm ranks whose slots rank
+      ``j`` reads (rooted collectives: gather flows everyone→root,
+      bcast/scatter root→everyone);
+    * ``parts=True`` declares the contribution per-destination (alltoall,
+      reduce_scatter): piece ``j`` travels to rank ``j`` only, and slot
+      ``i`` is what rank ``i`` addressed to this rank.
+
+    Receives complete in ascending comm rank, so the order of retrievals —
+    and with it every recv-point fault count — is deterministic.
+    """
+
+    def __init__(
+        self,
+        comm,
+        opname: str,
+        seq: int,
+        contribution: Any,
+        needs: Callable[[int], Any] | None = None,
+        parts: bool = False,
+    ) -> None:
+        rank = comm.rank
+        members = comm._members
+        me = members[rank]
+        world = comm._world
+        self._comm = comm
+        self._tag = comm._tag_key(("#coll", seq))
+        self._opname = f"{opname}[seq={seq}] at world rank {me}"
+        readers = (
+            None if needs is None else [set(needs(j)) for j in range(comm.size)]
+        )
+        for j, peer in enumerate(members):
+            if j == rank:
+                continue
+            if parts:
+                world.deliver(me, peer, self._tag, contribution[j])
+            elif readers is None or rank in readers[j]:
+                world.deliver(me, peer, self._tag, contribution)
+        self.slots: list[Any] = [None] * comm.size
+        self.slots[rank] = contribution[rank] if parts else contribution
+        self._sources = [
+            j
+            for j in range(comm.size)
+            if j != rank and (parts or readers is None or j in readers[rank])
+        ]
+        self._pos = 0
+
+    def progress(self) -> bool:
+        """Take the slots that have arrived (never blocks); True when done."""
+        comm = self._comm
+        while self._pos < len(self._sources):
+            j = self._sources[self._pos]
+            got, payload = comm._world.try_collect(
+                comm.world_rank, comm._members[j], self._tag
+            )
+            if not got:
+                return False
+            self.slots[j] = payload
+            self._pos += 1
+        return True
+
+    def finish(self) -> list[Any]:
+        """Block until every slot this rank reads has arrived; return them."""
+        comm = self._comm
+        while self._pos < len(self._sources):
+            j = self._sources[self._pos]
+            peer = comm._members[j]
+            self.slots[j] = comm._world.collect(
+                comm.world_rank,
+                peer,
+                self._tag,
+                opname=(
+                    f"{self._opname}, waiting for the contribution of "
+                    f"world rank {peer}"
+                ),
+            )
+            self._pos += 1
+        return self.slots
 
 
 class _TreeTransport:

@@ -2,11 +2,12 @@
 
 The interface mirrors mpi4py's lower-case (object) API: payloads are Python
 objects, collectives combine contributions in deterministic comm-rank order
-so runs are bit-reproducible for a fixed rank count — on *either* backend:
-the communicator is backend-agnostic and talks to the world through the
-:class:`~repro.comm.backend.BaseWorld` / GroupChannel contract, so the same
-``combine`` arithmetic runs on the same slot order whether ranks are
-threads or processes.
+so runs are bit-reproducible for a fixed rank count — on *every* backend.
+The world is transport only (:class:`~repro.comm.backend.BaseWorld`:
+``deliver``/``collect``/``try_collect``/``abort``/``rank_stats``); every
+collective here is a schedule over those point-to-point primitives
+(:mod:`repro.comm.algorithms`), so the same messages, tags and ``combine``
+arithmetic run whether ranks are threads, processes or socket peers.
 
 Array payloads cross the communication boundary **zero-copy** where
 possible on the thread backend: a C-contiguous ndarray is shared as a
@@ -39,8 +40,11 @@ Semantics implemented:
   ring / Rabenseifner / recursive-doubling / binomial-tree schedules onto
   the point-to-point transport (:mod:`repro.comm.algorithms`), cutting an
   allreduce's per-rank wire volume from ``n(p-1)`` to ``2n(p-1)/p``;
-  ``"direct"`` retains the deposit-combine comm-rank-order fold as the
-  bitwise-reference mode.
+  ``"direct"`` — one round in which each member sends its contribution
+  to the members that read it (:class:`~repro.comm.algorithms.DirectExchange`)
+  and folds the slots in comm-rank order — is the bitwise-reference mode.
+  A blocking ``"direct"`` collective is the nonblocking exchange finished
+  at once, under the same per-communicator sequence counter.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.comm import algorithms as _alg
-from repro.comm.backend import BaseWorld, GroupChannel
+from repro.comm.backend import BaseWorld
 from repro.comm.buffers import BufferPool
 from repro.comm.collective_models import (
     HIERARCHICAL_ALGORITHM,
@@ -87,7 +91,7 @@ _REDUCE_UFUNCS: dict[str, Any] = {
 
 #: Environment override for every ``algorithm=`` collective knob: set to
 #: ``direct`` for the bitwise-reference mode (every collective runs the
-#: legacy deposit-combine path), to ``ring`` / ``rabenseifner`` /
+#: one-round direct exchange), to ``ring`` / ``rabenseifner`` /
 #: ``recursive_doubling`` to force the reduction schedules, to
 #: ``binomial`` to force the rooted trees, or to ``auto`` for model-driven
 #: selection.  Values that are meaningless for an op (e.g. ``binomial``
@@ -296,43 +300,41 @@ class _RecvRequest(Request):
         return self._done
 
 
-class _CollectiveRequest(Request):
-    """Pending nonblocking collective on one communicator.
+class _DirectRequest(Request):
+    """Pending nonblocking ``"direct"`` collective on one communicator.
 
-    The underlying operation completes when every member has deposited;
-    waiting never requires peers to have *read* their results, so a fast
-    rank can fire-and-forget many collectives and drain them later, out of
-    order.  Slot exchange is the backend channel's job; the *combine*
-    arithmetic runs here, identically on every backend.
+    The contribution went out with the eager sends of its
+    :class:`~repro.comm.algorithms.DirectExchange` at issue time, so
+    waiting never requires peers to have *read* anything: a fast rank can
+    fire-and-forget many collectives and drain them later, out of order.
+    The *combine* arithmetic runs here, identically on every backend.
     """
 
     def __init__(
         self,
         comm: "Communicator",
-        token: Any,
+        exchange: "_alg.DirectExchange",
         combine: Callable[[list[Any]], Any],
         opname: str,
         count_stats: bool = True,
         wire: tuple[int, int | Callable[[Any], int]] | None = None,
     ) -> None:
         self._comm = comm
-        self._token = token
+        self._exchange = exchange
         self._combine = combine
         self._opname = opname
         self._count_stats = count_stats
         #: (sent bytes, received bytes or fn(result) -> received bytes):
-        #: the notional wire volume of the deposit-combine exchange,
-        #: recorded at completion under the op's wire counters.
+        #: the notional wire volume of the direct exchange, recorded at
+        #: completion under the op's wire counters.
         self._wire = wire
         self._t_launch = perf_counter()
 
     def _complete(self, slots: list[Any], waited: float) -> None:
         comm = self._comm
         t0 = perf_counter()
-        # Slots are fully deposited and read-only by convention; every
-        # member combines independently in identical deterministic order.
         result = self._combine(slots)
-        comm._channel.nb_finish(self._token)
+        self._exchange = None  # release the received slots
         # The caller is blocked while the reduction arithmetic runs, so
         # combine time counts as wait, never as hidden communication.
         waited += perf_counter() - t0
@@ -358,16 +360,15 @@ class _CollectiveRequest(Request):
         if self._done:
             return self._result
         t0 = perf_counter()
-        slots = self._comm._channel.nb_wait(self._token)
+        slots = self._exchange.finish()
         self._complete(slots, waited=perf_counter() - t0)
         return self._result
 
     def test(self) -> bool:
         if self._done:
             return True
-        if self._comm._channel.nb_test(self._token):
-            slots = self._comm._channel.nb_wait(self._token)
-            self._complete(slots, waited=0.0)
+        if self._exchange.progress():
+            self._complete(self._exchange.slots, waited=0.0)
         return self._done
 
 
@@ -459,9 +460,7 @@ class Communicator:
         self.rank = rank
         self.size = len(members)
         self._key = key
-        self._channel: GroupChannel = world.channel(key, members, rank)
-        self._op_seq = 0
-        self._nb_seq = 0  # nonblocking-collective sequence (matched across ranks)
+        self._coll_seq = 0  # direct-collective sequence (matched across ranks)
         self._xchg_seq = 0  # pt2pt exchange-pattern sequence (matched across ranks)
         self._alg_seq = 0  # algorithmic-schedule sequence (matched across ranks)
         #: Staging buffers for the schedules' send segments (recycled once
@@ -764,10 +763,10 @@ class Communicator:
     def _progress_inflight_schedules(self) -> None:
         """Advance pending scheduled collectives without blocking.
 
-        Called on entry to the blocking channel collectives: a rank about
-        to sink into a rendezvous first pushes its in-flight schedules as
-        far as the already-arrived messages allow, so peers driving those
-        schedules keep receiving segments.  (The SPMD discipline still
+        Called on entry to the blocking direct collectives: a rank about
+        to block on its peers' contributions first pushes its in-flight
+        schedules as far as the already-arrived messages allow, so peers
+        driving those schedules keep receiving segments.  (The SPMD discipline still
         requires every rank to eventually wait each scheduled request —
         a rank that abandons one can starve peers that wait it.)
         """
@@ -776,10 +775,7 @@ class Communicator:
 
     # -- collectives ------------------------------------------------------------
     def barrier(self) -> None:
-        with _trace.span("barrier", cat="coll"):
-            self._progress_inflight_schedules()
-            self._op_seq += 1
-            self._channel.barrier()
+        self._collective(None, lambda slots: None, "barrier")
 
     def bcast(
         self, payload: Any, root: int = 0, *, algorithm: str | None = None
@@ -789,7 +785,7 @@ class Communicator:
         ``algorithm``: ``"binomial"`` (the default via ``"auto"``) routes
         the payload down a binomial tree in ``⌈lg p⌉`` point-to-point
         rounds, so the root sends ``⌈lg p⌉`` copies instead of ``p - 1``;
-        ``"direct"`` is the legacy root-deposits exchange.  Both are pure
+        ``"direct"`` sends from the root to every member.  Both are pure
         routing — results are bitwise identical either way.
         """
         self._check_peer(root, "root")
@@ -943,8 +939,8 @@ class Communicator:
         """Gather every member's payload at every member (comm-rank order).
 
         ``algorithm``: ``"auto"`` (the default) stays on the ``"direct"``
-        deposit-combine exchange (one frozen payload fanned out to every
-        peer — the cheapest control-plane shape).  The compiled schedules
+        exchange (one frozen payload fanned out to every peer — the
+        cheapest control-plane shape).  The compiled schedules
         are opt-in: ``"recursive_doubling"`` doubles ``(source rank,
         payload)`` bundles over ``lg p`` rounds (power-of-two groups;
         other sizes fall back to ``"ring"``), ``"ring"`` circulates them
@@ -997,8 +993,9 @@ class Communicator:
         if name == "auto":
             # Never size-select here: allgather payload sizes are
             # per-rank, and a choice that differs across ranks mixes the
-            # deposit path with a pt2pt schedule and deadlocks.  Knob and
-            # env override are rank-symmetric, so only they pick schedules.
+            # direct exchange with a multi-round schedule and deadlocks.
+            # Knob and env override are rank-symmetric, so only they pick
+            # schedules.
             return "direct"
         if name == "recursive_doubling" and not _alg.is_power_of_two(self.size):
             name = "ring"  # schedule-level fallback, like rabenseifner's
@@ -1052,14 +1049,14 @@ class Communicator:
         opname: str = "ialltoall",
         count_stats: bool = True,
     ) -> Request:
-        """Nonblocking all-to-all: deposits immediately, returns a handle.
+        """Nonblocking all-to-all: sends immediately, returns a handle.
 
-        ``wait()`` blocks only until every member has deposited (never until
-        they have read), then picks this rank's slice of each contribution —
-        bitwise identical to :meth:`alltoall` but without the collective's
-        rendezvous barriers, so a fast rank keeps computing while peers are
-        still producing their payloads.  All members must issue their
-        nonblocking collectives on a communicator in the same order.
+        ``wait()`` blocks only until every member's piece for this rank has
+        arrived (never until they have read this rank's pieces) — bitwise
+        identical to :meth:`alltoall`, so a fast rank keeps computing while
+        peers are still producing their payloads.  All members must issue
+        their direct collectives (blocking and nonblocking) on a
+        communicator in the same order.
 
         ``opname``/``count_stats`` label the request in
         :class:`~repro.comm.stats.CommStats`: structured patterns (e.g. the
@@ -1198,9 +1195,9 @@ class Communicator:
           it falls back to the flat ``"auto"`` choice.  ``"auto"`` picks
           it by itself when the world carries a host map and the two-tier
           cost model favors the composition;
-        * ``"direct"`` — the legacy deposit-combine exchange, folding in
-          comm-rank order: the bitwise-reference mode (``n(p-1)`` per rank
-          on a message-passing backend).
+        * ``"direct"`` — one round in which every member sends its payload
+          to every other, folding in comm-rank order: the bitwise-reference
+          mode (``n(p-1)`` per rank on a message-passing backend).
 
         Non-array payloads (scalars, tuples, object arrays) always take
         ``"direct"``.  Every mode is deterministic across runs and
@@ -1252,9 +1249,9 @@ class Communicator:
         as in :meth:`allreduce` — a segmented schedule gives ``test()``
         finer progress granularity on top of the in-schedule pipelining
         (each probe can land one segment instead of one whole chunk).
-        With ``"direct"``, the call deposits its
-        contribution and ``wait()`` blocks only until every member has
-        deposited, then combines in comm-rank order — bitwise identical to
+        With ``"direct"``, the call sends its contribution to every member
+        and ``wait()`` blocks only until every member's contribution has
+        arrived, then combines in comm-rank order — bitwise identical to
         the blocking ``"direct"`` allreduce.  With a scheduled algorithm,
         the first segments are sent eagerly at issue time and the
         remaining steps progress on ``test()``/``wait()``; requests may be
@@ -1262,7 +1259,7 @@ class Communicator:
         scheduled collectives — see :class:`_ScheduleRequest`).  All
         members must issue their nonblocking collectives in the same
         order, as always — and, unlike the fire-and-forget-able
-        ``"direct"`` deposits, every member must eventually ``wait()`` (or
+        ``"direct"`` exchanges, every member must eventually ``wait()`` (or
         ``test()`` to completion) each *scheduled* request: later segments
         only move when their owner drives them, so a rank that abandons
         one can starve peers that wait it.
@@ -1377,7 +1374,7 @@ class Communicator:
         Ranks passing ``color=None`` receive ``None`` (MPI_UNDEFINED).  All
         members must call ``split`` (it is collective).
         """
-        seq = self._op_seq  # captured before the allgather consumes a slot
+        seq = self._coll_seq  # captured before the allgather consumes a slot
         sort_key = key if key is not None else self.rank
         infos = self.allgather((color, sort_key))
 
@@ -1397,13 +1394,27 @@ class Communicator:
 
     def dup(self) -> "Communicator":
         """Duplicate this communicator (fresh collective context and tags)."""
-        seq = self._op_seq
+        seq = self._coll_seq
         self.barrier()
         return Communicator(
             self._world, self._members, self.rank, key=(self._key, "dup", seq)
         )
 
     # -- internals -----------------------------------------------------------
+    def _exchange(
+        self,
+        contribution: Any,
+        opname: str,
+        needs: Callable[[int], Any] | None = None,
+        parts: bool = False,
+    ) -> "_alg.DirectExchange":
+        """Start one ``"direct"`` exchange under the next collective sequence."""
+        seq = self._coll_seq
+        self._coll_seq += 1
+        return _alg.DirectExchange(
+            self, opname, seq, _freeze(contribution), needs=needs, parts=parts
+        )
+
     def _collective(
         self,
         contribution: Any,
@@ -1417,10 +1428,8 @@ class Communicator:
             if _trace.is_on():
                 sp.set(bytes=payload_nbytes(contribution))
             self._progress_inflight_schedules()
-            self._op_seq += 1
-            return self._channel.collective(
-                _freeze(contribution), combine, opname, needs=needs, parts=parts
-            )
+            exchange = self._exchange(contribution, opname, needs, parts)
+            return combine(exchange.finish())
 
     def _icollective(
         self,
@@ -1431,7 +1440,5 @@ class Communicator:
         parts: bool = False,
         wire: tuple[int, int | Callable[[Any], int]] | None = None,
     ) -> Request:
-        seq = self._nb_seq
-        self._nb_seq += 1
-        token = self._channel.nb_start(seq, _freeze(contribution), opname, parts=parts)
-        return _CollectiveRequest(self, token, combine, opname, count_stats, wire)
+        exchange = self._exchange(contribution, opname, parts=parts)
+        return _DirectRequest(self, exchange, combine, opname, count_stats, wire)

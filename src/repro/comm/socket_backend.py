@@ -47,11 +47,15 @@ under the engine while staying runnable on one machine:
   in the parent (regression-tested by ``tests/test_socket_backend.py`` and
   the CI ``multi-host`` job, mirroring the ``/dev/shm`` leak check).
 
-Collectives, fault injection, result plumbing, and the parent's failure
-detector are shared with the process backend (`_launch_forked`,
-`ProcessChannel`, `_pack`/`_unpack`): this module only swaps the transport
-underneath the same :class:`~repro.comm.backend.BaseWorld` contract, so
-every collective stays bitwise identical across backends.
+Like every backend, this one supplies transport only —
+``deliver``/``collect``/``try_collect``/``abort``/``rank_stats`` of the
+:class:`~repro.comm.backend.BaseWorld` contract.  Collectives are
+point-to-point schedules built above it by
+:class:`~repro.comm.communicator.Communicator`, so every collective stays
+bitwise identical across backends.  Fault injection, result plumbing, the
+shared-memory lanes and the parent's failure detector are inherited from
+the process backend (`ProcessWorld`, `_launch_forked`, `_pack`/`_unpack`);
+this module only swaps the routing between logical nodes.
 """
 
 from __future__ import annotations
@@ -72,7 +76,9 @@ import numpy as np
 from repro.comm.backend import (
     CommAborted,
     CommIntegrityError,
+    _describe,
     _format_pending,
+    _pop,
     _retry_note,
     register_backend,
 )
@@ -221,12 +227,12 @@ class _SocketInbox(_Inbox):
         key = (source, tag)
         with self._cv:
             while True:
-                q = self._buffered.get(key)
-                if q:
-                    return q.popleft()
+                got, payload = _pop(self._buffered, key)
+                if got:
+                    return payload
                 if world.aborted:
                     raise world.abort_error(
-                        f"{describe() if callable(describe) else describe} "
+                        f"{_describe(describe)} "
                         f"interrupted: world aborted{world.abort_suffix()}"
                     )
                 remaining = deadline - monotonic()
@@ -236,15 +242,13 @@ class _SocketInbox(_Inbox):
                         logger.warning(
                             "%s still waiting after %.1fs; retry %d/%d "
                             "(pending inbox: %s)",
-                            describe() if callable(describe) else describe,
-                            timeout, attempt, retries,
+                            _describe(describe), timeout, attempt, retries,
                             self.pending_keys(),
                         )
                         deadline = monotonic() + timeout
                         continue
                     reason = (
-                        f"{describe() if callable(describe) else describe} "
-                        f"timed out after {timeout:.1f}s"
+                        f"{_describe(describe)} timed out after {timeout:.1f}s"
                         f"{_retry_note(attempt)}; "
                         f"pending inbox: {self.pending_keys()}"
                     )
@@ -254,9 +258,9 @@ class _SocketInbox(_Inbox):
 
     def try_get(self, source: int, tag: Any) -> tuple[bool, Any]:
         with self._cv:
-            q = self._buffered.get((source, tag))
-            if q:
-                return True, q.popleft()
+            got, payload = _pop(self._buffered, (source, tag))
+            if got:
+                return True, payload
         if self._world.aborted:
             raise self._world.abort_error(
                 f"irecv(source={source}, tag={tag}) interrupted: "
@@ -266,7 +270,7 @@ class _SocketInbox(_Inbox):
 
     def pending_keys(self, limit: int = 8) -> str:
         with self._cv:
-            keys = [k for k, q in self._buffered.items() if q]
+            keys = list(self._buffered)
         return _format_pending(keys, limit)
 
 

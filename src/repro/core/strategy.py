@@ -14,7 +14,8 @@ good assignment of distributions to layers:
 2. **Line networks.**  Reduce to single-source shortest path: one vertex
    per (layer, candidate); an edge from ``(l_i, D_i)`` to ``(l_j, D_j)``
    weighted ``Cost_{D_i}(l_i) + Shuffle(D_i, D_j)``; source/sink as in the
-   paper.  The graph is a DAG, solved in linear time.
+   paper.  The graph is a layered DAG, solved in linear time by a dynamic
+   program in path order.
 3. **Branchy networks** (ResNets): find the most expensive source-to-sink
    path, optimize it as a line, fix those layers, and repeat with the next
    path that "contains as few of the already-used layers as possible"
@@ -27,8 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.nn.graph import NetworkSpec
 from repro.perfmodel.machine import MachineSpec
@@ -163,13 +162,11 @@ class StrategyOptimizer:
         return 2 * self.cost_model._shuffle_cost(nbytes, self.total_ranks)
 
     # -- path optimization ----------------------------------------------------------
-    def _decision_graph(self) -> nx.DiGraph:
-        """DAG over decision layers (+virtual source/sink)."""
-        g = nx.DiGraph()
-        decision = [layer.name for layer in self.spec if layer.kind in DECISION_KINDS]
-        g.add_nodes_from(decision)
-
-        def decision_ancestors(name: str) -> list[str]:
+    def _decision_parents(self, order: list[str]) -> dict[str, list[str]]:
+        """Nearest decision-layer ancestors of each decision layer (edges of
+        the DAG over decision layers; non-decision layers are looked through)."""
+        parents: dict[str, list[str]] = {}
+        for name in order:
             seen, out, stack = set(), [], list(self.spec[name].parents)
             while stack:
                 p = stack.pop()
@@ -180,30 +177,22 @@ class StrategyOptimizer:
                     out.append(p)
                 else:
                     stack.extend(self.spec[p].parents)
-            return out
-
-        for name in decision:
-            for anc in decision_ancestors(name):
-                g.add_edge(anc, name)
-        heads = [n for n in decision if g.in_degree(n) == 0]
-        tails = [n for n in decision if g.out_degree(n) == 0]
-        g.add_node("__source__")
-        g.add_node("__sink__")
-        for name in heads:
-            g.add_edge("__source__", name)
-        for name in tails:
-            g.add_edge(name, "__sink__")
-        return g
+            parents[name] = out
+        return parents
 
     def _optimize_path(
         self,
         path: list[str],
         fixed: dict[str, LayerParallelism],
     ) -> dict[str, LayerParallelism]:
-        """Shortest-path assignment along one line of decision layers."""
-        g = nx.DiGraph()
-        g.add_node(("src",))
-        prev_nodes = [("src",)]
+        """Shortest-path assignment along one line of decision layers.
+
+        Dynamic program over the layered candidate DAG: ``dist[j]`` is the
+        cheapest cost of reaching candidate ``j`` of the current layer, via
+        edges weighted ``Cost_{D_i}(l_i) + Shuffle(D_i, D_j)``.  Ties keep
+        the earliest candidate, i.e. the cheaper partitioning, since
+        :meth:`candidates` lists sample parallelism first.
+        """
         cand_sets = []
         for name in path:
             cands = [fixed[name]] if name in fixed else self.candidates(name)
@@ -214,57 +203,72 @@ class StrategyOptimizer:
                 )
             cand_sets.append((name, cands))
 
-        for i, (name, cands) in enumerate(cand_sets):
-            nodes = []
-            for j, par in enumerate(cands):
-                node = (name, j)
-                g.add_node(node, par=par)
-                nodes.append(node)
-                for prev in prev_nodes:
-                    if prev == ("src",):
-                        g.add_edge(prev, node, weight=0.0)
-                    else:
-                        prev_name = prev[0]
-                        prev_par = g.nodes[prev]["par"]
-                        w = self._layer_cost(prev_name, prev_par)
-                        w += self._shuffle_cost(prev_name, prev_par, par)
-                        g.add_edge(prev, node, weight=w)
-            prev_nodes = nodes
-        g.add_node(("sink",))
-        for prev in prev_nodes:
-            g.add_edge(
-                prev, ("sink",), weight=self._layer_cost(prev[0], g.nodes[prev]["par"])
-            )
+        def argmin(costs: list[float]) -> int:
+            return min(range(len(costs)), key=costs.__getitem__)
 
-        sp = nx.shortest_path(g, ("src",), ("sink",), weight="weight")
-        return {node[0]: g.nodes[node]["par"] for node in sp[1:-1]}
+        name, cands = cand_sets[0]
+        dist = [0.0] * len(cands)
+        back: list[list[int]] = []
+        for next_name, next_cands in cand_sets[1:]:
+            own = [self._layer_cost(name, par) for par in cands]
+            choice, next_dist = [], []
+            for nxt in next_cands:
+                costs = [
+                    dist[i] + (own[i] + self._shuffle_cost(name, par, nxt))
+                    for i, par in enumerate(cands)
+                ]
+                i = argmin(costs)
+                choice.append(i)
+                next_dist.append(costs[i])
+            back.append(choice)
+            name, cands, dist = next_name, next_cands, next_dist
+        j = argmin([dist[i] + self._layer_cost(name, par) for i, par in enumerate(cands)])
+        picks = [j]
+        for choice in reversed(back):
+            j = choice[j]
+            picks.append(j)
+        return {
+            layer: options[j]
+            for (layer, options), j in zip(cand_sets, reversed(picks))
+        }
 
     def optimize(self) -> OptimizationReport:
         """Run the full §V-C procedure; returns strategy + evidence."""
-        dg = self._decision_graph()
         reference = LayerParallelism(sample=math.gcd(self.total_ranks, self.n_global))
         assigned: dict[str, LayerParallelism] = {}
         candidates_considered = 0
         paths = 0
 
-        def edge_weight(u, v, _attrs) -> float:
-            # Path "length" = cost of the head layer; already-assigned
-            # layers count ~zero so new paths prefer unassigned layers.
-            if v in ("__sink__",) or v in assigned:
-                return 1e-12
-            return max(self._layer_cost(v, reference), 1e-12)
+        decision_layers = [
+            layer.name for layer in self.spec.topo_order() if layer.kind in DECISION_KINDS
+        ]
+        parents = self._decision_parents(decision_layers)
+        # Path "length" = sum of the layers' costs under the reference
+        # distribution; already-assigned layers count ~zero so new paths
+        # prefer unassigned layers.
+        weight = {n: max(self._layer_cost(n, reference), 1e-12) for n in decision_layers}
 
-        decision_layers = [layer.name for layer in self.spec if layer.kind in DECISION_KINDS]
+        def heaviest_path() -> list[str]:
+            """Longest source-to-sink chain of decision layers (a DP in
+            topological order).  Ties keep the parent found first and, at
+            the end, the chain ending earliest in topological order."""
+            dist: dict[str, float] = {}
+            prev: dict[str, str | None] = {}
+            for n in decision_layers:
+                best = max(parents[n], key=dist.__getitem__, default=None)
+                w = 1e-12 if n in assigned else weight[n]
+                prev[n] = best
+                dist[n] = (0.0 if best is None else dist[best]) + w
+            n: str | None = max(decision_layers, key=dist.__getitem__)
+            path = []
+            while n is not None:
+                path.append(n)
+                n = prev[n]
+            return path[::-1]
+
         while any(n not in assigned for n in decision_layers):
             paths += 1
-            longest = nx.dag_longest_path(
-                nx.DiGraph(
-                    (u, v, {"weight": edge_weight(u, v, d)})
-                    for u, v, d in dg.edges(data=True)
-                ),
-                weight="weight",
-            )
-            path = [n for n in longest if n not in ("__source__", "__sink__")]
+            path = heaviest_path()
             new_on_path = [n for n in path if n not in assigned]
             if not new_on_path:
                 # Degenerate: remaining layers are off every longest path;

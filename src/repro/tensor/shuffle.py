@@ -35,9 +35,10 @@ The subsystem mirrors the overlapped halo exchange of
 * :func:`shuffle` — the blocking form: the identical plan driven through
   one ``alltoall`` collective.  Both forms place the same pieces into a
   zero-initialized destination block, so they are bitwise equal; only the
-  synchronization discipline differs (the blocking collective costs two
-  rendezvous barriers per call that the nonblocking form removes, and a
-  fast rank never waits for slow peers to *read*).
+  synchronization discipline differs (the blocking collective waits for
+  every peer's pieces before it returns; the nonblocking form keeps
+  computing until ``finish``, and a fast rank never waits for slow peers
+  to *read*).
 
 Send payloads can be staged through a :class:`~repro.comm.buffers.BufferPool`
 (deferred reclamation once the receivers drop the zero-copy views), the same
@@ -372,8 +373,8 @@ def shuffle(
     ranks in the same order); the grid *shapes* may differ arbitrarily.
     Collective: every rank must call.  Driven by the same cached
     :class:`ShufflePlan` as the overlapped path and assembles the identical
-    pieces, so the two are bitwise equal; this form pays the two rendezvous
-    barriers of the ``alltoall`` collective.
+    pieces, so the two are bitwise equal; this form waits inside the
+    ``alltoall`` collective for every peer's pieces.
     """
     plan = plan_shuffle(src, dst_grid, dst_dist)
     comm = src.comm

@@ -110,6 +110,22 @@ class TestFaultKinds:
         assert all(isinstance(e, CommAborted) for e in survivors)
         assert all("rank 1" in str(e) for e in survivors)
 
+    def test_crash_in_direct_collective_names_rank(self):
+        """Direct collectives travel as "#coll"-tagged messages over the
+        thread transport too, so the fault plane reaches them."""
+
+        def prog(comm):
+            return float(comm.allreduce(np.ones(4), algorithm="direct")[0])
+
+        out = run_spmd(
+            4, prog, faults="crash@rank1:tag=#coll", allow_failures=True,
+            timeout=30.0,
+        )
+        assert isinstance(out[1], InjectedCrash)
+        for r in (0, 2, 3):
+            assert isinstance(out[r], CommAborted), out[r]
+            assert "world rank 1 failed" in str(out[r]), out[r]
+
     def test_after_counts_matching_ops(self):
         """after=N skips the first N matches: sends 0 and 1 pass, send 2
         is dropped (observed as an irecv that never completes)."""

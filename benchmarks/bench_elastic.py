@@ -48,9 +48,9 @@ JSON_PATH = os.path.join(RESULTS_DIR, "BENCH_elastic.json")
 
 NRANKS = 2
 CRASH_RANK = 1
-# The bench net compiles 5 "#alg"-tagged sends per rank per training
-# step, so a send-count fault placed at 5*k + 2 fires mid-step k.
-SENDS_PER_STEP = 5
+# The bench net compiles 3 "#alg"-tagged sends per rank per training
+# step, so a send-count fault placed at 3*k + 2 fires mid-step k.
+SENDS_PER_STEP = 3
 
 FULL_EVERY = (1, 2, 4)
 FULL_NSTEPS = 8

@@ -409,8 +409,8 @@ class DistConv2d:
 
     # -- backward --------------------------------------------------------------------
     def backward(
-        self, dy: DistTensor
-    ) -> tuple[DistTensor, np.ndarray, np.ndarray | None]:
+        self, dy: DistTensor, need_dx: bool = True
+    ) -> tuple[DistTensor | None, np.ndarray, np.ndarray | None]:
         """Returns ``(dx, dw_partial, db_partial)``.
 
         The weight-gradient partials still need the allreduce over the
@@ -418,6 +418,10 @@ class DistConv2d:
         network so it can be overlapped/batched.  With ``overlap_halo`` the
         error-signal halo exchange is posted first and hides behind the
         filter convolution and the interior data convolution.
+
+        ``need_dx=False`` (the input is a network input, whose error signal
+        nobody consumes) computes only the partials: no dy halo exchange
+        and no Eq. 3; ``dx`` is ``None``.
         """
         if self._x_ext is None:
             raise RuntimeError("backward() before forward()")
@@ -431,7 +435,7 @@ class DistConv2d:
         lo, hi = g.lo, g.hi
 
         ex = None
-        if g.exchanged and self.overlap_halo:
+        if need_dx and g.exchanged and self.overlap_halo:
             # Post the dy halo exchange before Eq. 2: the filter convolution
             # needs no remote data, so the strips travel behind it.
             ex = start_region_exchange(dy, lo, hi, pool=self._pool, plan=g.plan)
@@ -443,6 +447,8 @@ class DistConv2d:
         db = dy.local.sum(axis=(0, 2, 3)) if self.bias is not None else None
         self._pool.give(self._x_ext)
         self._x_ext = None
+        if not need_dx:
+            return None, dw, db
 
         # Eq. 3: the dy dependency region of our input block.
         if not g.exchanged:

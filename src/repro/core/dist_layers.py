@@ -347,9 +347,12 @@ class DistBatchNorm:
         s, ss, count = F.batchnorm_stats(x.local)
         comm = self._stats_comm(x.dist)
         if comm is not None:
-            s = comm.allreduce(s)
-            ss = comm.allreduce(ss)
-            count = comm.allreduce(count)
+            # [s, ss, count] travel as one allreduce.
+            c = s.shape[0]
+            buf = comm.allreduce(
+                np.concatenate([s, ss, np.array([count], dtype=s.dtype)])
+            )
+            s, ss, count = buf[:c], buf[c : 2 * c], float(buf[2 * c])
         mean = s / count
         var = ss / count - mean**2
         mom = self.momentum
@@ -369,13 +372,14 @@ class DistBatchNorm:
         cache = self._cache
         if not cache:
             raise RuntimeError("backward() before forward()")
-        local_dgamma = (dy.local * cache["bn"]["xhat"]).sum(axis=(0, 2, 3))
-        local_dbeta = dy.local.sum(axis=(0, 2, 3))
+        local_dgamma, local_dbeta = F.batchnorm_grad_sums(dy.local, cache["bn"])
         dg, db = local_dgamma, local_dbeta
         comm = self._stats_comm(cache["dist"])
         if comm is not None:
-            dg = comm.allreduce(dg)
-            db = comm.allreduce(db)
+            # [dgamma, dbeta] travel as one allreduce.
+            c = dg.shape[0]
+            buf = comm.allreduce(np.concatenate([dg, db]))
+            dg, db = buf[:c], buf[c:]
         dx_local, _, _ = F.batchnorm_backward(
             dy.local, cache["bn"], stat_sums=(dg, db, cache["count"])
         )

@@ -457,13 +457,16 @@ class DistNetwork:
                     continue  # no path to the loss
 
                 if layer.kind == "conv":
-                    dx, dw, db = impl.backward(dy)
+                    # A network input's error signal is never consumed.
+                    need_dx = self.spec[layer.parents[0]].kind != "input"
+                    dx, dw, db = impl.backward(dy, need_dx=need_dx)
                     g = {"w": dw}
                     if db is not None:
                         g["b"] = db
                     # The dx shuffle first: it is in flight while the reducer
                     # coalesces and launches this layer's gradient allreduce.
-                    route_back(name, 0, dx)
+                    if need_dx:
+                        route_back(name, 0, dx)
                     complete_grads(name, g)
                 elif layer.kind == "pool":
                     route_back(name, 0, impl.backward(dy))

@@ -1,9 +1,12 @@
 """Stateless forward/backward kernels (the local compute oracle).
 
-All kernels operate on NCHW tensors and are fully vectorized: convolutions
-use strided window views + ``tensordot`` (the numpy analogue of im2col +
-GEMM, which is what cuDNN's IMPLICIT_GEMM algorithm computes), and the
-backward kernels implement the paper's Eqs. (2) and (3) exactly.
+All kernels operate on NCHW tensors and are fully vectorized: forward and
+backward-filter convolutions use strided window views + ``tensordot`` (the
+numpy analogue of im2col + GEMM, which is what cuDNN's IMPLICIT_GEMM
+algorithm computes); backward-data is one GEMM over the filters followed
+by col2im (a strided scatter-add per kernel tap), so it never builds a
+stride-dilated copy of the error signal.  The backward kernels implement
+the paper's Eqs. (2) and (3) exactly.
 
 Two kernels take the *effective padding* formulation needed by the
 distributed algorithms (paper §III-A): the spatially partitioned layers
@@ -24,6 +27,7 @@ __all__ = [
     "avgpool2d_forward",
     "batchnorm_backward",
     "batchnorm_forward",
+    "batchnorm_grad_sums",
     "conv2d_backward_data",
     "conv2d_backward_filter",
     "conv2d_forward",
@@ -133,6 +137,16 @@ def conv2d_backward_data(
     to align a gathered dy region with the local dx block).  ``x_spatial``
     fixes the output extent; if omitted, the standard inverse of the forward
     shape formula (without output_padding) is used.
+
+    Evaluated as one GEMM over F, ``cols[(c, a, b), (n, i, j)] = sum_f
+    w[f, c, a, b] dy[n, f, i, j]``, followed by col2im: each tap ``(a, b)``
+    is scatter-added at rows ``i*s + a`` (cols ``j*s + b``) of the full
+    transposed-convolution extent ``((Oh-1)*s + Kh, (Ow-1)*s + Kw)``, in a
+    fixed ``(a, b)`` order, and the result is cropped at the left offset
+    (zero outside).  Each dx element sums its taps in the same order
+    whatever block of dy it is evaluated from; a block's dx still differs
+    from the same slice of the whole array in the last ulp wherever BLAS
+    rounds a GEMM element differently for a different column count.
     """
     sh, sw = _pair(stride)
     ph, pw = _pair(pad)
@@ -145,34 +159,27 @@ def conv2d_backward_data(
     xh, xw = x_spatial
     if xh < 0 or xw < 0:
         raise ValueError(f"negative x extent {x_spatial}")
-    if xh == 0 or xw == 0:
-        return np.zeros((n, c, xh, xw), dtype=dy.dtype)
+    dtype = np.result_type(dy.dtype, w.dtype)
+    # dx[i] = full[i + p]; rows/cols [i0, i1) x [j0, j1) of dx lie inside.
+    full_h, full_w = (oh - 1) * sh + kh, (ow - 1) * sw + kw
+    i0, i1 = max(0, -ph), min(xh, full_h - ph)
+    j0, j1 = max(0, -pw), min(xw, full_w - pw)
+    if i0 >= i1 or j0 >= j1:
+        return np.zeros((n, c, xh, xw), dtype=dtype)
 
-    # Dilate dy by the stride (zero-stuffing): z[m] = dy[m/s] when s | m.
-    zh, zw = (oh - 1) * sh + 1, (ow - 1) * sw + 1
-    z = np.zeros((n, f, zh, zw), dtype=dy.dtype)
-    z[:, :, ::sh, ::sw] = dy
-
-    # dx[i] = sum_{a'} z[i - (k-1-p) + a'] * w_flipped[a'];  slice z into the
-    # index window [-off, -off + xh + kh - 1) with zero fill outside.
-    offh, offw = kh - 1 - ph, kw - 1 - pw
-    lo_h, hi_h = -offh, -offh + xh + kh - 1
-    lo_w, hi_w = -offw, -offw + xw + kw - 1
-    zwin = np.zeros((n, f, hi_h - lo_h, hi_w - lo_w), dtype=dy.dtype)
-    src_h = slice(max(lo_h, 0), min(hi_h, zh))
-    src_w = slice(max(lo_w, 0), min(hi_w, zw))
-    if src_h.start < src_h.stop and src_w.start < src_w.stop:
-        zwin[
-            :,
-            :,
-            src_h.start - lo_h : src_h.stop - lo_h,
-            src_w.start - lo_w : src_w.stop - lo_w,
-        ] = z[:, :, src_h, src_w]
-
-    wf = w[:, :, ::-1, ::-1]
-    win = _windows(zwin, (kh, kw), (1, 1))  # (N, F, xh, xw, Kh, Kw)
-    dx = np.tensordot(win, wf, axes=([1, 4, 5], [0, 2, 3]))  # (N, xh, xw, C)
-    return np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
+    dy_mat = dy.transpose(1, 0, 2, 3).reshape(f, n * oh * ow)
+    cols = w.reshape(f, c * kh * kw).T @ dy_mat  # (C*Kh*Kw, N*Oh*Ow)
+    taps = cols.reshape(c, kh, kw, n, oh, ow).transpose(3, 0, 1, 2, 4, 5)
+    full = np.zeros((n, c, full_h, full_w), dtype=dtype)
+    span_h, span_w = (oh - 1) * sh + 1, (ow - 1) * sw + 1
+    for a in range(kh):
+        for b in range(kw):
+            full[:, :, a : a + span_h : sh, b : b + span_w : sw] += taps[:, :, a, b]
+    if (ph, pw, full_h, full_w) == (0, 0, xh, xw):
+        return full
+    dx = np.zeros((n, c, xh, xw), dtype=dtype)
+    dx[:, :, i0:i1, j0:j1] = full[:, :, i0 + ph : i1 + ph, j0 + pw : j1 + pw]
+    return dx
 
 
 # -- pooling ---------------------------------------------------------------------
@@ -305,6 +312,12 @@ def batchnorm_forward(
     return y, cache
 
 
+def batchnorm_grad_sums(dy: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel ``(dgamma, dbeta) = (sum dy*xhat, sum dy)`` over (N, H, W)
+    — the backward sums the distributed variants allreduce."""
+    return (dy * cache["xhat"]).sum(axis=(0, 2, 3)), dy.sum(axis=(0, 2, 3))
+
+
 def batchnorm_backward(
     dy: np.ndarray,
     cache: dict,
@@ -316,12 +329,11 @@ def batchnorm_backward(
     set of size ``m``; then ``dx = (gamma*inv_std)*(dy - dbeta/m - xhat*dgamma/m)``.
     For distributed batch norm, pass ``stat_sums=(dgamma, dbeta, m)``
     aggregated over the process group; the local per-element formula is then
-    applied with the global sums.
+    applied with the global sums, and those sums are returned.
     """
     xhat, inv_std, gamma = cache["xhat"], cache["inv_std"], cache["gamma"]
     if stat_sums is None:
-        dgamma = (dy * xhat).sum(axis=(0, 2, 3))
-        dbeta = dy.sum(axis=(0, 2, 3))
+        dgamma, dbeta = batchnorm_grad_sums(dy, cache)
         m = dy.shape[0] * dy.shape[2] * dy.shape[3]
     else:
         dgamma, dbeta, m = stat_sums
@@ -331,9 +343,7 @@ def batchnorm_backward(
         - dbeta.reshape(1, -1, 1, 1) / m
         - xhat * dgamma.reshape(1, -1, 1, 1) / m
     )
-    local_dgamma = (dy * xhat).sum(axis=(0, 2, 3))
-    local_dbeta = dy.sum(axis=(0, 2, 3))
-    return dx, local_dgamma, local_dbeta
+    return dx, dgamma, dbeta
 
 
 def batchnorm_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

@@ -197,12 +197,13 @@ class LocalNetwork:
                 }
                 if "b" in p:
                     grads[layer.name]["b"] = dy.sum(axis=(0, 2, 3))
-                accumulate(
-                    x_parent,
-                    F.conv2d_backward_data(
-                        dy, p["w"], stride=stride, pad=pad, x_spatial=x.shape[2:]
-                    ),
-                )
+                if self.spec[x_parent].kind != "input":  # else never consumed
+                    accumulate(
+                        x_parent,
+                        F.conv2d_backward_data(
+                            dy, p["w"], stride=stride, pad=pad, x_spatial=x.shape[2:]
+                        ),
+                    )
             elif layer.kind == "pool":
                 mode = layer.params.get("mode", "max")
                 kernel = layer.params["kernel"]

@@ -1,5 +1,7 @@
 """Convolution kernels vs. naive references and adjoint identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,27 @@ def naive_conv2d(x, w, stride, pad):
                     patch = xp[kk, :, i * sh : i * sh + kh, j * sw : j * sw + kw]
                     y[kk, ff, i, j] = (patch * w[ff]).sum()
     return y
+
+
+def naive_conv2d_backward_data(dy, w, stride, pad, x_spatial):
+    """Paper Eq. (3) with explicit loops: ``dx[i] = sum_a w[a] dy[(i + p - a)/s]``
+    over the taps whose dy index is integral and in range."""
+    sh, sw = stride
+    ph, pw = pad
+    n, f, oh, ow = dy.shape
+    _, c, kh, kw = w.shape
+    xh, xw = x_spatial
+    dx = np.zeros((n, c, xh, xw))
+    for i in range(xh):
+        for j in range(xw):
+            for a in range(kh):
+                for b in range(kw):
+                    qi, ri = divmod(i + ph - a, sh)
+                    qj, rj = divmod(j + pw - b, sw)
+                    if ri or rj or not (0 <= qi < oh and 0 <= qj < ow):
+                        continue
+                    dx[:, :, i, j] += dy[:, :, qi, qj] @ w[:, :, a, b]
+    return dx
 
 
 CASES = [
@@ -212,3 +235,90 @@ def test_conv_adjoint_property(n, c, f, h, w, k, s, p):
     dw = conv2d_backward_filter(x, dy, kernel=k, stride=s, pad=p)
     np.testing.assert_allclose((dy * y).sum(), (dx * x).sum(), rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose((dy * y).sum(), (dw * wt).sum(), rtol=1e-9, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 2),
+    c=st.integers(1, 3),
+    f=st.integers(1, 3),
+    oh=st.integers(1, 5),
+    ow=st.integers(1, 5),
+    kh=st.integers(1, 7),
+    kw=st.integers(1, 7),
+    s=st.integers(1, 3),
+    data=st.data(),
+)
+def test_backward_data_matches_eq3_loops(n, c, f, oh, ow, kh, kw, s, data):
+    """Eq. (3) over left offsets up to ``k + 3`` and output extents both
+    shorter and longer than the rows the dy block reaches."""
+    ph = data.draw(st.integers(0, kh + 3), label="ph")
+    pw = data.draw(st.integers(0, kw + 3), label="pw")
+    # dx rows reached by dy: i + p < (oh - 1)*s + k.
+    reach_h, reach_w = (oh - 1) * s + kh - ph, (ow - 1) * s + kw - pw
+    xh = max(0, reach_h + data.draw(st.integers(-3, 3), label="dh"))
+    xw = max(0, reach_w + data.draw(st.integers(-3, 3), label="dw"))
+    rng = np.random.default_rng(n + 10 * c + 100 * f + 1000 * kh + 10000 * kw)
+    dy = rng.standard_normal((n, f, oh, ow))
+    wt = rng.standard_normal((f, c, kh, kw))
+    got = conv2d_backward_data(dy, wt, stride=s, pad=(ph, pw), x_spatial=(xh, xw))
+    want = naive_conv2d_backward_data(dy, wt, (s, s), (ph, pw), (xh, xw))
+    assert got.shape == (n, c, xh, xw)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("s,p,k", [(1, 1, 3), (2, 1, 3), (2, 3, 7), (3, 0, 2), (1, 0, 1)])
+@pytest.mark.parametrize("integral", [True, False])
+def test_backward_data_pieces_assemble_whole_block(s, p, k, integral):
+    """Row/column pieces evaluated from their dy dependency regions with
+    the ``DistConv2d._bwd_piece`` offsets tile the whole-block dx.
+
+    With small-integer data every product and partial sum is exact, so the
+    pieces must assemble to the whole block bitwise whatever the GEMM's
+    blocking.  With real-valued data a piece can differ in the last ulp,
+    because BLAS may round a GEMM element differently for a different
+    column count (GEMV for a single column)."""
+    rng = np.random.default_rng(12)
+    h, w = 11, 9
+    oh, ow = conv2d_output_shape((h, w), k, s, p)
+    if integral:
+        dy = rng.integers(-8, 9, (2, 5, oh, ow)).astype(float)
+        wt = rng.integers(-8, 9, (5, 3, k, k)).astype(float)
+    else:
+        dy = rng.standard_normal((2, 5, oh, ow))
+        wt = rng.standard_normal((5, 3, k, k))
+    whole = conv2d_backward_data(dy, wt, stride=s, pad=p, x_spatial=(h, w))
+    halo = k + 2  # zero frame: any dependency region can be sliced
+    dy_pad = np.pad(dy, ((0, 0), (0, 0), (halo, halo), (halo, halo)))
+    out = np.full_like(whole, np.nan)
+    for a, b in [(0, 1), (1, 4), (4, 10), (10, 11)]:
+        for c0, d in [(0, 3), (3, 8), (8, 9)]:
+            dh_a, dh_b = (a + p - (k - 1)) // s, (b - 1 + p) // s + 1
+            dw_c, dw_d = (c0 + p - (k - 1)) // s, (d - 1 + p) // s + 1
+            out[:, :, a:b, c0:d] = conv2d_backward_data(
+                dy_pad[:, :, dh_a + halo : dh_b + halo, dw_c + halo : dw_d + halo],
+                wt,
+                stride=s,
+                pad=(a + p - s * dh_a, c0 + p - s * dw_c),
+                x_spatial=(b - a, d - c0),
+            )
+    if integral:
+        np.testing.assert_array_equal(out, whole)
+    else:
+        np.testing.assert_allclose(out, whole, rtol=1e-13, atol=1e-13)
+
+
+def test_backward_data_stem_peak_memory():
+    """The 7x7 stride-2 stem's backward-data (batch 8, 64 -> 3 channels)
+    allocates a few MB; a stride-dilated im2col of dy would take ~205 MB."""
+    rng = np.random.default_rng(13)
+    dy = rng.standard_normal((8, 64, 16, 16))
+    wt = rng.standard_normal((64, 3, 7, 7))
+    tracemalloc.start()
+    try:
+        dx = conv2d_backward_data(dy, wt, stride=2, pad=3, x_spatial=(32, 32))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dx.shape == (8, 3, 32, 32)
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"

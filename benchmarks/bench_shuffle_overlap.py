@@ -7,11 +7,11 @@ signals (paper §III-C).  With the overlapped shuffle on (the default), each
 redistribution is a nonblocking all-to-all launched the moment the
 producer's activation exists and drained where the consumer runs; the skip
 edges therefore travel behind the main branch's convolutions, and in
-backward behind the gradient bucketing.  Off, every redistribution is a
-blocking collective at the consumption point, costing two rendezvous
-barriers and re-synchronizing all ranks mid-step.  Both modes assemble
-identical pieces from identical cached plans, so the measured delta is
-purely the communication discipline.
+backward behind the gradient bucketing.  Off, every redistribution is the
+same exchange finished right after it is started, so each rank waits for
+its peers' pieces there.  Both modes assemble identical pieces from
+identical cached plans, so the measured delta is purely where that wait
+falls.
 
 Two levels are measured and emitted to
 ``benchmarks/results/BENCH_shuffle_overlap.json``:
@@ -23,16 +23,14 @@ Two levels are measured and emitted to
   ranks' work and the overlap win is synchronization-bound and noisy
   (exactly the caveat recorded for the allreduce and halo overlap PRs);
 * **collective layer** — the redistribution primitive itself: K
-  activation-sized shuffles driven blocking vs. overlapped with the
-  engine's launch-early/finish-late window.  This isolates the work the
-  nonblocking path genuinely removes (two rendezvous barriers per
-  collective) and is robust to scheduler noise.
+  activation-sized shuffles, each finished at once (blocking) vs. kept in
+  flight in the engine's launch-early/finish-late window (overlapped).
 
 Both world backends are measured (``--backend both``, the default); the
 JSON carries one engine config row and one collective-level entry per
-backend.  On the process backend the blocking collective's rendezvous is a
-real message exchange per rank pair, so the overlapped path's win is
-larger and hardware-true rather than scheduler-bound.
+backend.  On the process backend the pieces are real messages between
+processes, so the wait the window hides is hardware-true rather than
+scheduler-bound.
 
 Run:  PYTHONPATH=src python benchmarks/bench_shuffle_overlap.py [--backend both]
 """
@@ -65,8 +63,8 @@ JSON_PATH = os.path.join(RESULTS_DIR, "BENCH_shuffle_overlap.json")
 
 #: Geometry chosen to be shuffle-bound on the thread backend: every block
 #: boundary (and every skip connection) redistributes, so each step performs
-#: several forward and backward shuffles whose blocking form costs two
-#: barrier waits each, while the overlapped form launches the skip-edge
+#: several forward and backward shuffles whose blocking form waits for the
+#: peers' pieces at once, while the overlapped form launches the skip-edge
 #: exchanges an entire branch of compute before they are consumed.
 HW = 16
 CHANNELS = 4
@@ -170,8 +168,8 @@ def _measure_collective(iters: int, repeats: int = 3, backend: str = "thread") -
     driver keeps a small window of exchanges in flight — the engine's
     skip-edge pattern, where :meth:`ShuffleExchange.start` runs a whole
     branch of compute before :meth:`finish` — so deposits are long since
-    complete when each exchange is drained and the two rendezvous barriers
-    of the blocking collective are the measured delta.
+    complete when each exchange is drained; the blocking driver waits for
+    them right after each start.
     """
     x = np.zeros((BATCH, CHANNELS, 4, 4))
 
@@ -301,8 +299,7 @@ def generate_shuffle_overlap(
 def test_shuffle_overlap_bench_smoke():
     """The benchmark runs, engine-level overlap is never a serious
     regression (step time is scheduler-noise-bound on shared hosts), and
-    the collective-level win — the work the nonblocking path removes — is
-    real.  The collected tier-1 counterpart lives in
+    the collective-level window is never a serious regression.  The collected tier-1 counterpart lives in
     tests/test_shuffle_overlap.py."""
     text, payload = generate_shuffle_overlap(
         steps=2, repeats=1, json_path=None, backends=("thread",)

@@ -75,12 +75,10 @@ from repro.comm.collective_models import (
     DIRECT_ALGORITHM,
     HIERARCHICAL_ALGORITHM,
     TwoTierTopology,
-    allgather_time,
     allreduce_time,
     allreduce_wire_bytes,
     alltoall_time,
     barrier_time,
-    bcast_time,
     bucketed_allreduce_time,
     pt2pt_time,
     reduce_scatter_time,
@@ -114,7 +112,6 @@ __all__ = [
     "JobConfig",
     "Request",
     "TwoTierTopology",
-    "allgather_time",
     "allreduce_wire_bytes",
     "hierarchical_allreduce_time",
     "hierarchical_inter_wire_bytes",
@@ -128,7 +125,6 @@ __all__ = [
     "allreduce_time",
     "alltoall_time",
     "barrier_time",
-    "bcast_time",
     "bucketed_allreduce_time",
     "pt2pt_time",
     "segmented_allreduce_time",

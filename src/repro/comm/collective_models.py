@@ -502,32 +502,12 @@ def reduce_scatter_time(p: int, nbytes: float, link: LinkParameters) -> float:
     return math.log2(p) * link.alpha + frac * nbytes * (link.beta + link.gamma)
 
 
-def allgather_time(p: int, nbytes: float, link: LinkParameters) -> float:
-    """Allgather to ``n`` total bytes over ``p`` ranks (recursive doubling)."""
-    if p <= 1 or nbytes <= 0:
-        return 0.0
-    frac = (p - 1) / p
-    return math.log2(p) * link.alpha + frac * nbytes * link.beta
-
-
-def bcast_time(p: int, nbytes: float, link: LinkParameters) -> float:
-    """Broadcast of ``n`` bytes (scatter + allgather, van de Geijn)."""
-    if p <= 1 or nbytes <= 0:
-        return 0.0
-    lg = math.log2(p)
-    frac = (p - 1) / p
-    if nbytes < SMALL_MESSAGE_CUTOFF:
-        return lg * (link.alpha + nbytes * link.beta)  # binomial tree
-    return (lg + p - 1) * link.alpha + 2 * frac * nbytes * link.beta
-
-
 def barrier_time(p: int, link: LinkParameters) -> float:
     """Dissemination barrier over ``p`` ranks: ``ceil(lg p)`` latency rounds.
 
     Used to model the synchronization cost a *blocking* collective pays on
-    top of its payload movement — e.g. the two rendezvous barriers of the
-    blocking shuffle all-to-all, which the nonblocking
-    :class:`~repro.tensor.shuffle.ShuffleExchange` removes.
+    top of its payload movement — e.g. the two rendezvous barriers of an
+    MPI-style blocking all-to-all shuffle.
     """
     if p <= 1:
         return 0.0

@@ -1287,8 +1287,8 @@ class Communicator:
         """``parts[j]`` is this rank's contribution destined for rank ``j``.
 
         Returns the reduction, over all ranks, of their contribution for
-        *this* rank.  This is the primitive channel-parallel convolution
-        uses to combine partial sums over the channel group (paper §III-D).
+        *this* rank — the primitive that combines partial sums over a
+        channel group in channel-parallel convolution (paper §III-D).
 
         ``algorithm``: ``"ring"`` (the default via ``"auto"`` when every
         part is an ndarray of one dtype) circulates partial sums around

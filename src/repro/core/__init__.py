@@ -6,7 +6,9 @@
   layer, §V-C).
 * :mod:`repro.core.dist_conv` — distributed convolution (§III-A): sample,
   spatial, and hybrid sample/spatial decompositions with halo exchange,
-  exactly replicating single-device convolution.
+  exactly replicating single-device convolution.  Channel/filter
+  parallelism (§III-D), which the paper leaves to future work, is not
+  implemented.
 * :mod:`repro.core.dist_layers` — distributed pooling, batch norm (local /
   spatially-aggregated / global variants, §III-B), ReLU, add, global
   pooling, FC, and loss layers.
@@ -17,8 +19,6 @@
   checkpoint/resume (:mod:`repro.core.checkpoint`).
 * :mod:`repro.core.strategy` — the performance-model-driven strategy
   optimizer (§V-C): candidate generation + shortest-path assignment.
-* :mod:`repro.core.channel_filter` — channel/filter-parallel convolution
-  (§III-D; sketched in the paper, implemented here as an extension).
 * :mod:`repro.core.elastic` — elastic self-healing supervision: restart
   with backoff, blacklist-and-shrink, cross-world checkpoint re-sharding,
   graceful degradation (:class:`~repro.core.elastic.ElasticRunner`).

@@ -25,23 +25,24 @@ the output's H dimension; W symmetric).  With kernel K, stride S, padding P:
 partitioned, the local output block is decomposed into an *interior* region
 — output points whose input windows lie entirely in locally owned data (or
 virtual padding) — and up to four *boundary* strips that depend on halo
-cells.  With ``overlap_halo`` (the default), the halo strips are posted as
-nonblocking ``isend``/``irecv`` up front (:func:`start_region_exchange`),
-the interior kernel runs while they travel, received pieces are assembled
-as each request lands, and the boundary kernels complete the output; in
-backward the error-signal exchange additionally hides inside the filter
-convolution (Eq. 2 needs no halo).  With ``overlap_halo=False`` the same
-interior + boundary kernels run after a blocking ``gather_region`` — the
-two modes perform *identical* floating-point operations on identical data,
-so they are bitwise equal over entire training runs (BLAS kernels are not
-sub-block invariant, which is why the synchronous mode must decompose too
-rather than issue one fused kernel).
+cells.  The halo strips are posted as nonblocking ``isend``/``irecv`` up
+front (:func:`start_region_exchange`), the interior kernel runs, received
+pieces are assembled, and the boundary kernels complete the output; in
+backward the error-signal exchange is posted before the filter convolution
+(Eq. 2 needs no halo).  ``overlap_halo`` (the default) finishes the
+exchange only after the interior kernel; ``overlap_halo=False`` finishes
+it right after the start.  That is the only difference between the modes:
+they run the same exchange and the same kernels on the same data, so they
+are bitwise equal over entire training runs (BLAS kernels are not
+sub-block invariant, which is why both modes run the decomposition rather
+than one fused kernel).
 
-Because communication is expressed through the same region algebra as
-``gather_region``, the same code handles pure sample parallelism (zero
-communication), pure spatial, hybrid, strides, uneven partitions, and
-replicated dimensions — and replicates the single-device result to
-floating-point accumulation order.
+A layer whose regions are all local (pure sample parallelism, replicated
+spatial dims) exchanges nothing: it reads its region locally
+(:func:`local_region`) and runs one fused kernel, in both modes, and so
+replicates the single-device result to floating-point accumulation order.
+The same region algebra handles pure spatial, hybrid, strides, uneven
+partitions, and replicated dimensions.
 """
 
 from __future__ import annotations
@@ -107,9 +108,8 @@ def _frame_pieces(
 def _fwd_region_builder(kernel, stride, pad, y_dist, y_shape, chan_of):
     """Any rank's forward input region from its output bounds.
 
-    ``chan_of(coords)`` supplies the dim-1 slot — the rank's own channel
-    slice for channel parallelism, the full (replicated) C extent for
-    filter parallelism.
+    ``chan_of(coords)`` supplies the dim-1 slot — the full (replicated) C
+    extent for convolution, the rank's own channel block for pooling.
     """
     kh, kw = kernel
     sh, sw = stride
@@ -132,13 +132,9 @@ def _fwd_region_builder(kernel, stride, pad, y_dist, y_shape, chan_of):
     return region_of
 
 
-def _bwd_region_builder(kernel, stride, pad, x_dist, x_shape, chan_of):
-    """Any rank's backward-data dy region from its input bounds (Eq. 3).
-
-    ``chan_of(coords)`` supplies the dim-1 slot — the full dy channel
-    extent for channel parallelism, the rank's own filter slice for
-    filter parallelism.
-    """
+def _bwd_region_builder(kernel, stride, pad, x_dist, x_shape, channels):
+    """Any rank's backward-data dy region from its input bounds (Eq. 3),
+    over all ``channels`` of dy."""
     kh, kw = kernel
     sh, sw = stride
     ph, pw = pad
@@ -147,14 +143,25 @@ def _bwd_region_builder(kernel, stride, pad, x_dist, x_shape, chan_of):
         (n_lo, n_hi), _, (xh_lo, xh_hi), (xw_lo, xw_hi) = x_dist.local_bounds(
             x_shape, coords
         )
-        f_lo, f_hi = chan_of(coords)
         dh_lo = _floor_div(xh_lo + ph - (kh - 1), sh)
         dh_hi = _floor_div(xh_hi - 1 + ph, sh) + 1 if xh_hi > xh_lo else dh_lo
         dw_lo = _floor_div(xw_lo + pw - (kw - 1), sw)
         dw_hi = _floor_div(xw_hi - 1 + pw, sw) + 1 if xw_hi > xw_lo else dw_lo
-        return (n_lo, f_lo, dh_lo, dw_lo), (n_hi, f_hi, dh_hi, dw_hi)
+        return (n_lo, 0, dh_lo, dw_lo), (n_hi, channels, dh_hi, dw_hi)
 
     return region_of
+
+
+def _run_pieces(pieces, ex, kernel) -> None:
+    """Run ``kernel(rows, cols)`` on the interior pieces, finish the
+    exchange ``ex``, then run the boundary pieces (§IV-A)."""
+    for rows, cols, interior in pieces:
+        if interior:
+            kernel(rows, cols)
+    ex.finish()
+    for rows, cols, interior in pieces:
+        if not interior:
+            kernel(rows, cols)
 
 
 @dataclass(frozen=True)
@@ -181,11 +188,11 @@ class DistConv2d:
 
     Weights (and bias) are replicated on every rank of ``grid``; the
     activation tensors are distributed along (N, H, W) per the grid shape
-    (the channel axis is handled by :mod:`repro.core.channel_filter`).
+    (channel parallelism, §III-D, is not implemented).
 
-    ``overlap_halo`` selects the nonblocking, interior-first execution of
-    the halo exchange; the synchronous mode runs the identical kernel
-    decomposition after a blocking gather, so both modes are bitwise equal.
+    ``overlap_halo`` finishes each halo exchange after the interior
+    kernels; ``overlap_halo=False`` finishes it right after the start.
+    Both modes run the same kernels, so they are bitwise equal.
     """
 
     def __init__(
@@ -201,7 +208,8 @@ class DistConv2d:
             raise ValueError("DistConv2d expects a 4D (N, C, H, W) grid")
         if grid.shape[1] != 1:
             raise ValueError(
-                "channel-parallel convolution lives in repro.core.channel_filter"
+                "channel parallelism is not implemented: DistConv2d needs a "
+                "grid with one part on the channel axis"
             )
         self.grid = grid
         self.w = weights
@@ -228,11 +236,6 @@ class DistConv2d:
             (h, w), self.kernel, self.stride, self.pad
         )
         return (n, self.w.shape[0], oh, ow)
-
-    def _local_region(self, dt: DistTensor, lo, hi) -> np.ndarray:
-        """Materialize a region that is fully local (plus virtual padding)
-        without communication — the overlap-mode fast path."""
-        return local_region(dt, lo, hi, fill=0.0, pool=self._pool)
 
     # -- interior/boundary decomposition (§IV-A) -----------------------------------
     def _fwd_interior(self, x: DistTensor, y_bounds) -> tuple:
@@ -348,8 +351,7 @@ class DistConv2d:
         xb = x_dist.local_bounds(x_shape, self.grid.coords)
         dy_channels = dy.global_shape[1]
         region_of = _bwd_region_builder(
-            self.kernel, self.stride, self.pad, x_dist, x_shape,
-            lambda coords: (0, dy_channels),
+            self.kernel, self.stride, self.pad, x_dist, x_shape, dy_channels
         )
         regions = [
             region_of(self.grid.coords_of(r)) for r in range(self.grid.comm.size)
@@ -372,12 +374,9 @@ class DistConv2d:
         y_bounds = g.bounds
 
         if not g.exchanged:
-            # Degenerate gather (pure sample parallelism / replicated
-            # spatial dims): a single fused kernel, no decomposition.
-            if self.overlap_halo:
-                x_ext = self._local_region(x, g.lo, g.hi)
-            else:
-                x_ext = x.gather_region(g.lo, g.hi, pool=self._pool)
+            # Nothing to exchange (pure sample parallelism / replicated
+            # spatial dims): a single fused kernel on local data.
+            x_ext = local_region(x, g.lo, g.hi, pool=self._pool)
             y_local = F.conv2d_forward(
                 x_ext, self.w, stride=self.stride, pad=0, bias=self.bias
             )
@@ -387,20 +386,14 @@ class DistConv2d:
                 (n_hi - n_lo, self.w.shape[0], oh_hi - oh_lo, ow_hi - ow_lo),
                 dtype=np.result_type(x.dtype, self.w.dtype),
             )
-            if self.overlap_halo:
-                ex = start_region_exchange(x, g.lo, g.hi, pool=self._pool, plan=g.plan)
-                x_ext = ex.out
-                for rows, cols, interior in g.pieces:
-                    if interior:
-                        self._fwd_piece(x_ext, y_bounds, rows, cols, y_local)
+            ex = start_region_exchange(x, g.lo, g.hi, pool=self._pool, plan=g.plan)
+            if not self.overlap_halo:
                 ex.finish()
-                for rows, cols, interior in g.pieces:
-                    if not interior:
-                        self._fwd_piece(x_ext, y_bounds, rows, cols, y_local)
-            else:
-                x_ext = x.gather_region(g.lo, g.hi, pool=self._pool)
-                for rows, cols, _ in g.pieces:
-                    self._fwd_piece(x_ext, y_bounds, rows, cols, y_local)
+            x_ext = ex.out
+            _run_pieces(
+                g.pieces, ex,
+                lambda rows, cols: self._fwd_piece(x_ext, y_bounds, rows, cols, y_local),
+            )
 
         self._x_ext = x_ext
         self._x_global_shape = x.global_shape
@@ -417,7 +410,8 @@ class DistConv2d:
         layer's gradient group (paper Eq. 2's sum over N) — performed by the
         network so it can be overlapped/batched.  With ``overlap_halo`` the
         error-signal halo exchange is posted first and hides behind the
-        filter convolution and the interior data convolution.
+        filter convolution and the interior data convolution; with
+        ``overlap_halo=False`` it is finished right after it is posted.
 
         ``need_dx=False`` (the input is a network input, whose error signal
         nobody consumes) computes only the partials: no dy halo exchange
@@ -435,10 +429,12 @@ class DistConv2d:
         lo, hi = g.lo, g.hi
 
         ex = None
-        if need_dx and g.exchanged and self.overlap_halo:
+        if need_dx and g.exchanged:
             # Post the dy halo exchange before Eq. 2: the filter convolution
             # needs no remote data, so the strips travel behind it.
             ex = start_region_exchange(dy, lo, hi, pool=self._pool, plan=g.plan)
+            if not self.overlap_halo:
+                ex.finish()
 
         # Eq. 2: local filter gradients from the saved extended input region.
         dw = F.conv2d_backward_filter(
@@ -451,11 +447,8 @@ class DistConv2d:
             return None, dw, db
 
         # Eq. 3: the dy dependency region of our input block.
-        if not g.exchanged:
-            if self.overlap_halo:
-                dy_ext = self._local_region(dy, lo, hi)
-            else:
-                dy_ext = dy.gather_region(lo, hi, pool=self._pool)
+        if ex is None:
+            dy_ext = local_region(dy, lo, hi, pool=self._pool)
             pad_eff = (xh_lo + self.pad[0] - self.stride[0] * lo[2],
                        xw_lo + self.pad[1] - self.stride[1] * lo[3])
             dx_local = F.conv2d_backward_data(
@@ -470,20 +463,12 @@ class DistConv2d:
                 (n_hi - n_lo, c_all, xh_hi - xh_lo, xw_hi - xw_lo),
                 dtype=np.result_type(dy.dtype, self.w.dtype),
             )
-            if ex is not None:
-                dy_ext = ex.out
-                ex.poll()
-                for rows, cols, interior in g.pieces:
-                    if interior:
-                        self._bwd_piece(dy_ext, lo, xb, rows, cols, dx_local)
-                ex.finish()
-                for rows, cols, interior in g.pieces:
-                    if not interior:
-                        self._bwd_piece(dy_ext, lo, xb, rows, cols, dx_local)
-            else:
-                dy_ext = dy.gather_region(lo, hi, pool=self._pool)
-                for rows, cols, _ in g.pieces:
-                    self._bwd_piece(dy_ext, lo, xb, rows, cols, dx_local)
+            dy_ext = ex.out
+            ex.poll()
+            _run_pieces(
+                g.pieces, ex,
+                lambda rows, cols: self._bwd_piece(dy_ext, lo, xb, rows, cols, dx_local),
+            )
 
         self._pool.give(dy_ext)
         dx = DistTensor(self.grid, x_dist, x_shape, dx_local)

@@ -30,7 +30,7 @@ from repro.tensor.halo import (
     start_region_exchange,
 )
 from repro.tensor.indexing import ceil_div
-from repro.core.dist_conv import _frame_pieces, _fwd_region_builder
+from repro.core.dist_conv import _frame_pieces, _fwd_region_builder, _run_pieces
 from repro.core.parallelism import activation_dist
 
 
@@ -53,6 +53,7 @@ class _PoolGeometry:
     exchanged: bool          # does any rank need remote data?
     pieces: tuple            # ((rows, cols, is_interior), ...) decomposition
     plan: ExchangePlan | None
+    scatter_plan: list       # backward scatter-add routing of [lo, hi)
 
 
 class DistPool2d:
@@ -63,22 +64,20 @@ class DistPool2d:
     to their owners (windows straddling a partition boundary contribute to
     a neighbor's cells — the reverse halo exchange).
 
-    With ``overlap_halo`` (the default), forward drives the gather through
-    the nonblocking :class:`~repro.tensor.halo.RegionExchange` (plan cached
-    per layer) and decomposes the output into interior windows — those
-    reading only locally owned input (or virtual padding) — computed while
-    the halo strips travel, plus boundary strips completed after assembly.
-    Pooling windows are reduced per output element, so the piecewise
-    kernels are bitwise identical to the fused synchronous kernel; only the
-    communication discipline differs.  The backward scatter-add is
-    nonblocking too (:meth:`~repro.tensor.dist_tensor.DistTensor.
-    start_scatter_region_add`, routing plan cached per layer like the
-    forward exchange plan): the contribution all-to-all is launched first
-    and the rank's own contribution — the bulk of the error signal —
-    accumulates while the boundary strips travel; remote contributions
-    fold in on finish.  Both scatter paths share one documented
-    accumulation order (own first, then ascending comm rank), so
-    ``overlap_halo`` on/off stays bitwise identical here as well.
+    When some rank needs remote data, forward drives the gather through the
+    nonblocking :class:`~repro.tensor.halo.RegionExchange` (plan cached per
+    layer) and decomposes the output into interior windows — those reading
+    only locally owned input (or virtual padding) — plus boundary strips
+    completed after assembly.  ``overlap_halo`` (the default) finishes the
+    exchange after the interior windows; ``overlap_halo=False`` finishes it
+    right after the start.  Pooling windows are reduced per output element,
+    so the piecewise kernels are bitwise identical to the fused kernel a
+    layer with nothing to exchange runs on its local region.  The backward
+    scatter-add (:meth:`~repro.tensor.dist_tensor.DistTensor.
+    start_scatter_region_add`, routing plan cached with the forward
+    geometry) accumulates the rank's own contribution while the boundary
+    strips travel, then folds in the remote ones (ascending comm rank);
+    when no rank's region is remote it is all local and exchanges nothing.
     """
 
     def __init__(
@@ -99,14 +98,10 @@ class DistPool2d:
         self.pad = _pair(pad)
         self.overlap_halo = bool(overlap_halo)
         self._cache: dict = {}
-        # Recycles the gathered extended region and the alltoall payloads
-        # (gather replies, scatter-add contributions) across steps.
+        # Recycles the gathered extended region and the exchange payloads
+        # (halo send strips, scatter-add contributions) across steps.
         self._pool = BufferPool()
         self._geom: dict = {}
-        # Backward scatter-add routing plans, cached per input layout (the
-        # gradient DistTensor is rebuilt every backward, so the plan lives
-        # on the layer, keyed like the forward geometry).
-        self._scatter_plans: dict = {}
 
     def output_global_shape(self, x_shape: tuple[int, ...]) -> tuple[int, ...]:
         n, c, h, w = x_shape
@@ -159,14 +154,16 @@ class DistPool2d:
         exchanged = any_region_remote(x, regions)
         pieces: tuple = ()
         plan = None
-        if exchanged and self.overlap_halo:
-            # The decomposition and exchange schedule only serve the
-            # overlapped path; the synchronous mode runs one fused kernel
-            # after a blocking gather and never reads them.
+        if exchanged:
             inner_h, inner_w = self._interior(x, yb)
             pieces = tuple(_frame_pieces(yb[2], yb[3], inner_h, inner_w))
             plan = plan_region_exchange(x, lo, hi, regions)
-        geom = _PoolGeometry(y_dist, y_shape, yb, lo, hi, exchanged, pieces, plan)
+        # The gradient DistTensor is rebuilt every backward; the routing
+        # plan depends only on the layout, so it is cached here.
+        scatter_plan = x.scatter_add_plan(lo, [h - b for b, h in zip(lo, hi)])
+        geom = _PoolGeometry(
+            y_dist, y_shape, yb, lo, hi, exchanged, pieces, plan, scatter_plan
+        )
         self._geom[key] = geom
         return geom
 
@@ -200,20 +197,7 @@ class DistPool2d:
         # Max pooling must not let virtual padding win: fill with -inf-like.
         fill = -np.inf if self.mode == "max" else 0.0
 
-        if not g.exchanged:
-            # No rank needs remote data: materialize locally (overlap mode,
-            # zero communication) or via the historical blocking gather.
-            if self.overlap_halo:
-                x_ext = local_region(x, g.lo, g.hi, fill=fill, pool=self._pool)
-            else:
-                x_ext = x.gather_region(g.lo, g.hi, fill=fill, pool=self._pool)
-            if self.mode == "max":
-                y_local, argmax = F.maxpool2d_forward(x_ext, self.kernel, self.stride, 0)
-                self._cache = {"argmax": argmax}
-            else:
-                y_local = F.avgpool2d_forward(x_ext, self.kernel, self.stride, 0)
-                self._cache = {}
-        elif self.overlap_halo:
+        if g.exchanged:
             (n_lo, n_hi), (c_lo, c_hi), (oh_lo, oh_hi), (ow_lo, ow_hi) = yb
             y_local = np.empty(
                 (n_hi - n_lo, c_hi - c_lo, oh_hi - oh_lo, ow_hi - ow_lo),
@@ -227,60 +211,52 @@ class DistPool2d:
             ex = start_region_exchange(
                 x, g.lo, g.hi, fill=fill, pool=self._pool, plan=g.plan
             )
+            if not self.overlap_halo:
+                ex.finish()
             x_ext = ex.out
-            for rows, cols, interior in g.pieces:
-                if interior:
-                    self._pool_piece(x_ext, yb, rows, cols, y_local, argmax)
-            ex.finish()
-            for rows, cols, interior in g.pieces:
-                if not interior:
-                    self._pool_piece(x_ext, yb, rows, cols, y_local, argmax)
-            self._cache = {"argmax": argmax} if self.mode == "max" else {}
+            _run_pieces(
+                g.pieces, ex,
+                lambda rows, cols: self._pool_piece(
+                    x_ext, yb, rows, cols, y_local, argmax
+                ),
+            )
         else:
-            x_ext = x.gather_region(g.lo, g.hi, fill=fill, pool=self._pool)
+            # No rank needs remote data: one fused kernel on local data.
+            x_ext = local_region(x, g.lo, g.hi, fill=fill, pool=self._pool)
             if self.mode == "max":
                 y_local, argmax = F.maxpool2d_forward(x_ext, self.kernel, self.stride, 0)
-                self._cache = {"argmax": argmax}
             else:
                 y_local = F.avgpool2d_forward(x_ext, self.kernel, self.stride, 0)
-                self._cache = {}
-        self._cache.update(
-            {"region_lo": g.lo, "x_ext_shape": x_ext.shape, "x": x}
-        )
-        self._pool.give(x_ext)  # backward needs only its shape (and argmax)
+                argmax = None
+        self._cache = {"argmax": argmax, "geom": g, "x": x}
+        self._pool.give(x_ext)  # backward needs only the geometry (and argmax)
         return DistTensor(self.grid, g.y_dist, g.y_shape, y_local)
 
     def backward(self, dy: DistTensor) -> DistTensor:
         cache = self._cache
         if not cache:
             raise RuntimeError("backward() before forward()")
+        g: _PoolGeometry = cache["geom"]
+        x_ext_shape = tuple(h - b for b, h in zip(g.lo, g.hi))
         if self.mode == "max":
             dx_ext = F.maxpool2d_backward(
-                dy.local, cache["argmax"], cache["x_ext_shape"],
+                dy.local, cache["argmax"], x_ext_shape,
                 self.kernel, self.stride, 0,
             )
         else:
             dx_ext = F.avgpool2d_backward(
-                dy.local, cache["x_ext_shape"], self.kernel, self.stride, 0
+                dy.local, x_ext_shape, self.kernel, self.stride, 0
             )
         x: DistTensor = cache["x"]
         dx = DistTensor.zeros(x.grid, x.dist, x.global_shape, dtype=dy.dtype)
-        key = (x.global_shape, x.dist)
-        plan = self._scatter_plans.get(key)
-        if plan is None:
-            plan = dx.scatter_add_plan(cache["region_lo"], dx_ext.shape)
-            self._scatter_plans[key] = plan
-        if self.overlap_halo:
-            # Launch the contribution all-to-all, accumulate our own
-            # contribution while the boundary strips travel, fold in the
-            # remote ones on finish — same documented order as blocking.
-            ex = dx.start_scatter_region_add(
-                dx_ext, cache["region_lo"], pool=self._pool, plan=plan
-            )
-            ex.finish()
+        if g.exchanged:
+            dx.start_scatter_region_add(
+                dx_ext, g.lo, pool=self._pool, plan=g.scatter_plan
+            ).finish()
         else:
-            dx.scatter_region_add(
-                dx_ext, cache["region_lo"], pool=self._pool, plan=plan
+            # Every piece of the plan is this rank's own: nothing to send.
+            dx.accumulate_regions(
+                (overlap, dx_ext[sl]) for _, overlap, sl in g.scatter_plan
             )
         # Replicated output dims mean every replica scattered identical
         # contributions into disjoint replica groups — already consistent.
@@ -462,11 +438,10 @@ class DistFC:
     """Sample-parallel fully connected layer (weights replicated).
 
     The paper's *model-parallel* FC (Elemental-style distributed GEMM) is
-    equivalent to a filter-parallel 1x1 convolution, provided by
-    :mod:`repro.core.channel_filter`; cost-wise it is modeled in
-    :mod:`repro.perfmodel`.  Here activations must not be spatially split
-    (shuffle to a sample-only distribution first, as LBANN does before FC
-    layers).
+    equivalent to a filter-parallel 1x1 convolution, which is not
+    implemented; cost-wise it is modeled in :mod:`repro.perfmodel`.  Here
+    activations must not be spatially split (shuffle to a sample-only
+    distribution first, as LBANN does before FC layers).
     """
 
     def __init__(

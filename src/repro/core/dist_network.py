@@ -27,9 +27,9 @@ Halo exchanges of spatially partitioned convolutions are likewise
 :class:`~repro.core.dist_conv.DistConv2d` posts its halo strips as
 nonblocking sends/receives, convolves the interior of its block while they
 travel, and completes the boundary strips as the receives land (paper
-§IV-A).  ``overlap_halo=False`` runs the identical interior/boundary
-kernels after a blocking gather, so the two modes are bitwise equal
-(verified by ``tests/test_halo_overlap.py``).
+§IV-A).  ``overlap_halo=False`` runs the same exchange finished right after
+it is posted, so the two modes are bitwise equal (verified by
+``tests/test_halo_overlap.py``).
 
 Inter-layer *shuffles* (§III-C redistributions at layer boundaries whose
 distributions differ) are **overlapped by default** too
@@ -42,8 +42,8 @@ bucketing in backward); in backward the error-signal shuffle toward a
 parent is started before the layer's weight-gradient allreduce is queued.
 Plans (the per-rank send/receive schedules) are cached on the communicator
 across steps, and send payloads are staged through a network-level
-:class:`~repro.comm.buffers.BufferPool`.  ``overlap_shuffle=False`` runs
-the identical plan through a blocking ``alltoall``; both modes assemble the
+:class:`~repro.comm.buffers.BufferPool`.  ``overlap_shuffle=False``
+finishes each shuffle right after it is started; both modes assemble the
 same pieces into the same zero-initialized blocks and are bitwise equal
 (verified by ``tests/test_shuffle_overlap.py`` /
 ``tests/test_shuffle_property.py``).
@@ -66,7 +66,9 @@ from repro.nn.graph import NetworkSpec
 from repro.obs import tracer as _trace
 from repro.tensor.dist_tensor import DistTensor
 from repro.tensor.grid import ProcessGrid
-from repro.tensor.shuffle import ShuffleExchange, shuffle, start_shuffle
+# ``shuffle`` stays importable from this module: perfbench/tracing.py
+# patches it here by name.
+from repro.tensor.shuffle import ShuffleExchange, shuffle, start_shuffle  # noqa: F401
 from repro.core.parallelism import LayerParallelism, ParallelStrategy, activation_dist
 from repro.core.dist_conv import DistConv2d
 from repro.core.grad_reducer import DEFAULT_BUCKET_BYTES, BucketedGradReducer
@@ -237,21 +239,13 @@ class DistNetwork:
             return None
         return want
 
-    def _to_layer_dist(self, act: DistTensor, grid: ProcessGrid) -> DistTensor:
-        """Shuffle an activation to a layer's expected input distribution."""
-        want = self._want_dist(act, grid)
-        if want is None:
-            return act
-        self.shuffle_count += 1
-        return shuffle(act, grid, want, pool=self._shuffle_pool)
-
     def _start_child_shuffles(self, name: str) -> None:
         """Launch the redistributions every child of ``name`` will need.
 
-        Called right after a layer's activation is produced (overlap mode):
-        the exchanges travel behind whatever computes next — sibling
-        branches of the DAG, the remaining forward layers — and are
-        finished where each child consumes its input.
+        Called right after a layer's activation is produced: the exchanges
+        travel behind whatever computes next — sibling branches of the DAG,
+        the remaining forward layers — and are finished where each child
+        consumes its input (at once without ``overlap_shuffle``).
         """
         act = self._acts[name]
         for child in self.spec.children_of(name):
@@ -261,9 +255,10 @@ class DistNetwork:
                 continue
             for idx, pname in enumerate(self.spec[child].parents):
                 if pname == name:
-                    self._pending_fwd[(child, idx)] = start_shuffle(
-                        act, grid, want, pool=self._shuffle_pool
-                    )
+                    ex = start_shuffle(act, grid, want, pool=self._shuffle_pool)
+                    if not self.overlap_shuffle:
+                        ex.finish()
+                    self._pending_fwd[(child, idx)] = ex
 
     def forward(
         self,
@@ -293,8 +288,7 @@ class DistNetwork:
                 x_global = np.asarray(inputs[name], dtype=self.dtype)
                 dist = activation_dist(grid.shape, x_global.shape)
                 self._acts[name] = DistTensor.from_global(grid, dist, x_global)
-                if self.overlap_shuffle:
-                    self._start_child_shuffles(name)
+                self._start_child_shuffles(name)
                 continue
 
             with _trace.span(f"fwd:{name}", cat="layer", kind=layer.kind):
@@ -307,9 +301,8 @@ class DistNetwork:
                     ex = self._pending_fwd.pop((name, idx), None)
                     if ex is not None:
                         self.shuffle_count += 1
-                        resolved.append(ex.finish())
-                    else:
-                        resolved.append(self._to_layer_dist(p, grid))
+                        p = ex.finish()
+                    resolved.append(p)
                 parents = resolved
                 impl = self._layers[name]
 
@@ -336,8 +329,7 @@ class DistNetwork:
                 else:  # pragma: no cover
                     raise AssertionError(layer.kind)
                 self._acts[name] = y
-                if self.overlap_shuffle:
-                    self._start_child_shuffles(name)
+                self._start_child_shuffles(name)
         return self.loss
 
     def backward(self, grad_hook=None) -> dict[str, dict[str, np.ndarray]]:
@@ -364,9 +356,9 @@ class DistNetwork:
         as the layer's ``dx`` exists — before the layer's own gradient
         bucketing — and finished only when the parent consumes its error
         signal, so the pieces travel behind the reducer work and any
-        sibling branches.  Contributions are accumulated in the same
-        arrival order as the blocking path, so both modes perform identical
-        floating-point additions.
+        sibling branches; without it the shuffle is finished at once.
+        Contributions are accumulated in the same arrival order in both
+        modes, so they perform identical floating-point additions.
         """
         grads: dict[str, dict[str, np.ndarray]] = {}
         #: Per-parent error contributions (DistTensor or in-flight
@@ -410,20 +402,17 @@ class DistNetwork:
             pname = self.spec[name].parents[idx]
             if dx.dist != pdist or dx.grid.shape != pgrid.shape:
                 self.shuffle_count += 1
-                if self.overlap_shuffle:
-                    pending.setdefault(pname, []).append(
-                        start_shuffle(dx, pgrid, pdist, pool=self._shuffle_pool)
-                    )
-                    return
-                dx = shuffle(dx, pgrid, pdist, pool=self._shuffle_pool)
+                dx = start_shuffle(dx, pgrid, pdist, pool=self._shuffle_pool)
+                if not self.overlap_shuffle:
+                    dx.finish()
             pending.setdefault(pname, []).append(dx)
 
         def consume_dy(name: str) -> DistTensor | None:
             """Materialize a layer's accumulated error signal.
 
-            Entries are folded in arrival order; later contributions with a
-            mismatched distribution are shuffled to the first's, exactly as
-            the historical eager accumulation did.
+            Entries are folded in arrival order.  ``route_back`` lands every
+            entry in the layer's forward placement, so they all share one
+            distribution.
             """
             entries = pending.pop(name, None)
             if not entries:
@@ -436,10 +425,6 @@ class DistNetwork:
                         dx.grid, dx.dist, dx.global_shape, dx.local.copy()
                     )
                 else:
-                    if dx.dist != out.dist:
-                        dx = shuffle(
-                            dx, out.grid, out.dist, pool=self._shuffle_pool
-                        )
                     out.local += dx.local
             return out
 

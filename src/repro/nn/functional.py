@@ -10,8 +10,9 @@ the paper's Eqs. (2) and (3) exactly.
 
 Two kernels take the *effective padding* formulation needed by the
 distributed algorithms (paper §III-A): the spatially partitioned layers
-materialize halo + virtual padding into an extended local block via
-``gather_region`` and then call these kernels with ``pad=0``, while
+materialize halo + virtual padding into an extended local block via the
+region exchange (:func:`repro.tensor.halo.start_region_exchange`) and then
+call these kernels with ``pad=0``, while
 backward-data is evaluated with a per-rank left-offset padding that aligns
 the gathered error-signal region with the local input block (see
 :mod:`repro.core.dist_conv` for the offset derivation).

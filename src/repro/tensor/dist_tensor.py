@@ -2,25 +2,24 @@
 
 A :class:`DistTensor` is the Python analogue of the paper's C++ distributed
 tensor: each rank stores the block of the global tensor selected by its grid
-coordinates under a :class:`~repro.tensor.distribution.Distribution`, and
-the class provides the collective primitives the distributed convolution
-algorithms are built from:
+coordinates under a :class:`~repro.tensor.distribution.Distribution`.  The
+class owns the layout algebra the exchanges are built from — which ranks
+own which part of a global region (:meth:`DistTensor._owners_of_region`) —
+and the reverse halo exchange:
 
-* :meth:`DistTensor.gather_region` — fetch an arbitrary hyper-rectangular
-  region of the global tensor (the *generalized halo exchange*: the region
-  a convolution's local outputs depend on overlaps only grid neighbors in
-  the common case, but the same primitive handles strided and unaligned
-  partitions exactly);
-* :meth:`DistTensor.scatter_region_add` — the reverse operation, scattering
-  and *accumulating* contributions computed for a region back to its owners
-  (needed by pooling backpropagation where windows straddle partitions).
+* :meth:`DistTensor.start_scatter_region_add` — scatter contributions
+  computed for a region back to their owners and *accumulate* them
+  (pooling backpropagation, where windows straddle partitions).  It is
+  nonblocking; a caller that needs the result at once calls
+  :meth:`ScatterAddExchange.finish` right away.
 
-Both are collective over the grid's communicator.  Regions may extend past
-the global tensor boundary; out-of-range parts are zero-filled on gather
-(materializing convolution padding) and dropped on scatter.
+The forward direction, fetching an arbitrary region of the global tensor
+(the *generalized halo exchange*), is
+:func:`repro.tensor.halo.start_region_exchange`.  Regions may extend past
+the global tensor boundary; out-of-range parts are dropped on scatter.
 
 Replication is respected: when a dimension is replicated across a grid axis,
-gathers are served by the replica in the caller's own replica group, and
+regions resolve to the replica in the caller's own replica group, and
 scatter-adds stay within the caller's replica group, so replicas remain
 bitwise consistent without extra synchronization.
 """
@@ -197,71 +196,6 @@ class DistTensor:
         return self.local[tuple(sl)]
 
     # -- collective region primitives ------------------------------------------
-    def gather_region(
-        self,
-        lo: Sequence[int],
-        hi: Sequence[int],
-        fill: float = 0.0,
-        pool=None,
-    ) -> np.ndarray:
-        """Collectively fetch global region ``[lo, hi)`` into a local array.
-
-        All grid ranks must call this together (each with its own region —
-        pass an empty region to participate without fetching).  Out-of-range
-        parts are filled with ``fill``.  ``pool`` (a
-        :class:`~repro.comm.buffers.BufferPool`) supplies the assembly
-        buffer *and* stages the off-rank reply payloads (recycled across
-        calls via deferred reclamation once the requesters drop the
-        zero-copy views); the caller owns the result and may ``give`` it
-        back once done reading it.
-        """
-        lo = tuple(int(v) for v in lo)
-        hi = tuple(int(v) for v in hi)
-        out_shape = tuple(h - b for b, h in zip(lo, hi))
-        if any(s < 0 for s in out_shape):
-            raise ValueError(f"negative region shape {out_shape}")
-
-        owners = self._owners_of_region(lo, hi) if all(s > 0 for s in out_shape) else []
-        comm = self.comm
-
-        requests: list[list[tuple[tuple[int, int], ...]]] = [
-            [] for _ in range(comm.size)
-        ]
-        for rank, overlap in owners:
-            requests[rank].append(overlap)
-
-        incoming = comm.alltoall(requests)
-        replies = [
-            [
-                self._stage_payload(self._local_slice_of(region), pool)
-                if j != comm.rank
-                else self._local_slice_of(region)
-                for region in regions
-            ]
-            for j, regions in enumerate(incoming)
-        ]
-        comm.stats.record_collective(
-            "region_data",
-            sum(
-                arr.nbytes
-                for j, regions in enumerate(replies)
-                for arr in regions
-                if j != comm.rank
-            ),
-        )
-        data_back = comm.alltoall(replies)
-
-        if pool is not None:
-            out = pool.take(out_shape, self.dtype)
-            out.fill(fill)
-        else:
-            out = np.full(out_shape, fill, dtype=self.dtype)
-        for rank in range(comm.size):
-            for region, data in zip(requests[rank], data_back[rank]):
-                offset = tuple(r[0] - b for r, b in zip(region, lo))
-                place_region(out, data, offset)
-        return out
-
     def scatter_add_plan(
         self, lo: Sequence[int], shape: Sequence[int]
     ) -> list[tuple[int, tuple[tuple[int, int], ...], tuple[slice, ...]]]:
@@ -285,7 +219,8 @@ class DistTensor:
             plan.append((rank, overlap, sl))
         return plan
 
-    def _accumulate_contributions(self, contributions) -> None:
+    def accumulate_regions(self, contributions) -> None:
+        """Add each ``(owned global region, data)`` into the local shard."""
         my = self.bounds
         for overlap, data in contributions:
             offset = tuple(iv[0] - b[0] for iv, b in zip(overlap, my))
@@ -298,16 +233,19 @@ class DistTensor:
         pool=None,
         plan=None,
     ) -> "ScatterAddExchange":
-        """Nonblocking :meth:`scatter_region_add`: launch the contribution
-        all-to-all and accumulate the *own* contribution immediately.
+        """Scatter ``region`` (anchored at global ``lo``) to its owners,
+        *adding* into their local shards; nonblocking.
 
-        The returned handle's :meth:`~ScatterAddExchange.finish` waits for
-        the peers' deposits and folds in the remote contributions.  The
-        accumulation order is fixed and documented — own contribution
-        first (it overlaps the in-flight transfer), then remote
-        contributions in ascending comm rank — and the blocking
-        :meth:`scatter_region_add` applies the identical order, so the two
-        paths are bitwise interchangeable.  ``plan`` is an optional
+        Launches the contribution all-to-all and accumulates the *own*
+        contribution immediately; the returned handle's
+        :meth:`~ScatterAddExchange.finish` waits for the peers' deposits
+        and folds in the remote contributions.  All grid ranks must call
+        together.  Parts of the region outside the global tensor are
+        dropped (they correspond to virtual padding).  The accumulation
+        order is fixed — own contribution first (it overlaps the in-flight
+        transfer), then remote contributions in ascending comm rank — so
+        finishing at once or later gives the same bits.  ``pool`` stages
+        the off-rank payloads (deferred recycling); ``plan`` is an optional
         precomputed :meth:`scatter_add_plan` (it must match ``lo`` and
         ``region.shape``); layers cache it across steps.
         """
@@ -338,59 +276,8 @@ class DistTensor:
         )
         request = comm.ialltoall(sends)
         # Own contribution accumulates while peers are still depositing.
-        self._accumulate_contributions(own)
+        self.accumulate_regions(own)
         return ScatterAddExchange(self, request)
-
-    def scatter_region_add(
-        self,
-        region: np.ndarray,
-        lo: Sequence[int],
-        pool=None,
-        plan=None,
-    ) -> None:
-        """Collectively scatter ``region`` (anchored at global ``lo``) to its
-        owners, *adding* into their local shards.
-
-        Parts of the region outside the global tensor are dropped (they
-        correspond to virtual padding).  All grid ranks must call together.
-        ``pool`` stages the off-rank contribution payloads (same deferred
-        recycling as :meth:`gather_region`'s replies); ``plan`` is an
-        optional cached :meth:`scatter_add_plan`.  Contributions accumulate
-        in a fixed documented order — own first, then remote in ascending
-        comm rank — identical to the nonblocking
-        :meth:`start_scatter_region_add`, so the two are bitwise
-        interchangeable.
-        """
-        lo = tuple(int(v) for v in lo)
-        if plan is None:
-            plan = self.scatter_add_plan(lo, region.shape)
-        comm = self.comm
-
-        sends: list[list[tuple[tuple[tuple[int, int], ...], np.ndarray]]] = [
-            [] for _ in range(comm.size)
-        ]
-        own: list[tuple[tuple[tuple[int, int], ...], np.ndarray]] = []
-        for rank, overlap, sl in plan:
-            piece = region[sl]
-            if rank != comm.rank:
-                sends[rank].append((overlap, self._stage_payload(piece, pool)))
-            else:
-                own.append((overlap, piece))
-
-        comm.stats.record_collective(
-            "region_data",
-            sum(
-                arr.nbytes
-                for j, pieces in enumerate(sends)
-                for _, arr in pieces
-                if j != comm.rank
-            ),
-        )
-        received = comm.alltoall(sends)
-        self._accumulate_contributions(own)
-        for j, contributions in enumerate(received):
-            if j != comm.rank:
-                self._accumulate_contributions(contributions)
 
     # -- whole-tensor collectives (test/debug helpers) -----------------------------
     def to_global(self) -> np.ndarray:
@@ -427,7 +314,7 @@ class ScatterAddExchange:
     The owner's own contribution is already accumulated by the time the
     handle exists; :meth:`finish` waits for the peers' deposits and folds
     in the remote contributions in ascending comm rank — completing the
-    documented accumulation order the blocking path shares.
+    documented accumulation order.
     """
 
     __slots__ = ("_tensor", "_request")
@@ -441,4 +328,4 @@ class ScatterAddExchange:
         tensor = self._tensor
         for j, contributions in enumerate(received):
             if j != tensor.comm.rank:
-                tensor._accumulate_contributions(contributions)
+                tensor.accumulate_regions(contributions)

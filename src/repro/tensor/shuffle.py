@@ -32,13 +32,10 @@ The subsystem mirrors the overlapped halo exchange of
   immediately, so the caller can run independent computation (the next
   layer's kernels on another branch, gradient bucketing, ...) before
   :meth:`~ShuffleExchange.finish` drains and assembles.
-* :func:`shuffle` — the blocking form: the identical plan driven through
-  one ``alltoall`` collective.  Both forms place the same pieces into a
-  zero-initialized destination block, so they are bitwise equal; only the
-  synchronization discipline differs (the blocking collective waits for
-  every peer's pieces before it returns; the nonblocking form keeps
-  computing until ``finish``, and a fast rank never waits for slow peers
-  to *read*).
+* :func:`shuffle` — the blocking form, which is the same exchange
+  finished at once (``start_shuffle(...).finish()``); bitwise equal to
+  finishing later because pieces land in disjoint sub-regions of a
+  zero-initialized destination block.
 
 Send payloads can be staged through a :class:`~repro.comm.buffers.BufferPool`
 (deferred reclamation once the receivers drop the zero-copy views), the same
@@ -60,7 +57,7 @@ from repro.tensor.grid import ProcessGrid
 from repro.tensor.indexing import intersect, interval_is_empty, place_region
 
 #: CommStats op name under which shuffle traffic and its wait/overlap split
-#: are recorded (both the blocking and the overlapped path).
+#: are recorded.
 SHUFFLE_OP = "shuffle"
 
 Region = tuple[tuple[int, int], ...]
@@ -324,8 +321,8 @@ class ShuffleExchange:
         """Drain the collective and return the redistributed tensor.
 
         Pieces target disjoint sub-regions of the destination block, so
-        assembly order cannot change the result — the overlapped path is
-        bitwise equal to the blocking :func:`shuffle`.
+        assembly order cannot change the result.  A second call returns
+        the same tensor.
         """
         if self._result is not None:
             return self._result
@@ -371,46 +368,10 @@ def shuffle(
 
     Both grids must be built over the same communicator (the same set of
     ranks in the same order); the grid *shapes* may differ arbitrarily.
-    Collective: every rank must call.  Driven by the same cached
-    :class:`ShufflePlan` as the overlapped path and assembles the identical
-    pieces, so the two are bitwise equal; this form waits inside the
-    ``alltoall`` collective for every peer's pieces.
+    Collective: every rank must call.  This is :func:`start_shuffle`
+    finished at once.
     """
-    plan = plan_shuffle(src, dst_grid, dst_dist)
-    comm = src.comm
-
-    with _trace.span(
-        "shuffle", cat="exchange",
-        bytes=int(plan.sent_cells * src.dtype.itemsize),
-    ):
-        return _shuffle_run(src, dst_grid, dst_dist, plan, comm, pool)
-
-
-def _shuffle_run(src, dst_grid, dst_dist, plan, comm, pool):
-    payloads = _stage_payloads(src, plan, pool)
-    comm.stats.record_collective(SHUFFLE_OP, plan.sent_cells * src.dtype.itemsize)
-
-    # Traffic is recorded under "shuffle" above (identically to the
-    # overlapped path), so the generic alltoall accounting is suppressed.
-    received = comm.alltoall(payloads, count_stats=False, opname=SHUFFLE_OP)
-
-    new_local = np.zeros(plan.out_shape, dtype=src.dtype)
-    filled = 0
-    for region in plan.local:
-        offset = tuple(r[0] - b[0] for r, b in zip(region, plan.dst_bounds))
-        place_region(new_local, src._local_slice_of(region), offset)
-        filled += _cells(region)
-    for rank, region in plan.recvs:
-        data = received[rank]
-        offset = tuple(r[0] - b[0] for r, b in zip(region, plan.dst_bounds))
-        place_region(new_local, data, offset)
-        filled += data.size
-    if filled != new_local.size:
-        raise RuntimeError(
-            f"shuffle assembled {filled} elements but local block has "
-            f"{new_local.size}; source distribution did not cover the tensor"
-        )
-    return DistTensor(dst_grid, dst_dist, plan.global_shape, new_local)
+    return start_shuffle(src, dst_grid, dst_dist, pool=pool).finish()
 
 
 def shuffle_cost_bytes(

@@ -1,5 +1,5 @@
 """BufferPool recycling: immediate reuse, deferred send-strip reclaim, and
-pooled gather/scatter alltoall payloads."""
+pooled region-exchange strips and scatter-add payloads."""
 
 import numpy as np
 
@@ -7,7 +7,14 @@ from repro.comm import BufferPool, run_spmd
 from repro.core.dist_layers import DistPool2d
 from repro.core.parallelism import activation_dist
 from repro.nn import functional as F
-from repro.tensor import DistTensor, Distribution, ProcessGrid, halo_exchange
+from repro.tensor import DistTensor, Distribution, ProcessGrid, start_region_exchange
+
+
+def gather(dt, comm, lo, hi, pool=None):
+    """Blocking region gather: the region exchange finished at once."""
+    return start_region_exchange(
+        dt, lo, hi, peer_regions=comm.allgather((lo, hi)), pool=pool
+    ).finish()
 
 
 class TestImmediateReuse:
@@ -53,9 +60,8 @@ class TestDeferredReclaim:
         assert reclaimed is buf
 
     def test_halo_exchange_strips_reused(self):
-        """Pooled halo_exchange recycles both the extended assembly buffer
-        and the contiguous send strips across calls (the copy noted in the
-        ROADMAP is now pool-backed)."""
+        """A pooled halo exchange recycles both the extended assembly buffer
+        and the contiguous send strips across calls."""
         x = np.arange(64.0).reshape(8, 8)
         dist = Distribution.make((2, 2))
         iters = 5
@@ -64,18 +70,20 @@ class TestDeferredReclaim:
             grid = ProcessGrid(comm, (2, 2))
             dt = DistTensor.from_global(grid, dist, x)
             pool = BufferPool()
+            (hlo, hhi), (wlo, whi) = dt.bounds
             for _ in range(iters):
-                out = halo_exchange(dt, (1, 1), pool=pool)
+                out = gather(dt, comm, (hlo - 1, wlo - 1), (hhi + 1, whi + 1), pool=pool)
                 comm.barrier()  # peers have drained their mailboxes
                 pool.give(out)
             return pool.stats()
 
         for hits, misses in run_spmd(4, prog):
-            # Per iteration: 1 extended buffer + 2 send strips (one per
-            # split axis on a 2x2 grid).  Everything after the cold first
-            # iteration should hit; allow one strip shape still in flight.
+            # Per iteration: 1 extended buffer + 3 send strips (one edge per
+            # split axis and the corner for the diagonal peer on a 2x2
+            # grid).  Everything after the cold first iteration should hit;
+            # allow a strip or two still in flight.
             assert misses <= 4, (hits, misses)
-            assert hits >= 3 * (iters - 1) - 2, (hits, misses)
+            assert hits >= 4 * (iters - 1) - 2, (hits, misses)
 
     def test_halo_exchange_pooled_matches_unpooled(self):
         x = np.arange(144.0).reshape(12, 12)
@@ -85,9 +93,11 @@ class TestDeferredReclaim:
             grid = ProcessGrid(comm, (2, 2))
             dt = DistTensor.from_global(grid, dist, x)
             pool = BufferPool()
+            (hlo, hhi), (wlo, whi) = dt.bounds
+            region = ((hlo - 2, wlo - 2), (hhi + 2, whi + 2))
             for _ in range(3):
-                got = halo_exchange(dt, (2, 2), pool=pool)
-                want = halo_exchange(dt, (2, 2))
+                got = gather(dt, comm, *region, pool=pool)
+                want = gather(dt, comm, *region)
                 np.testing.assert_array_equal(got, want)
                 pool.give(got)
             return True
@@ -96,7 +106,7 @@ class TestDeferredReclaim:
 
 
 class TestGatherScatterPayloadPooling:
-    """gather_region replies and scatter_region_add contributions are
+    """Region-exchange send strips and scatter-add contributions are
     staged through the pool and recycled across calls."""
 
     def test_gather_region_reply_payloads_recycled(self):
@@ -110,8 +120,8 @@ class TestGatherScatterPayloadPooling:
             pool = BufferPool(max_buffers_per_key=16)
             (hlo, hhi), (wlo, whi) = dt.bounds
             for _ in range(iters):
-                out = dt.gather_region((hlo - 2, wlo - 2), (hhi + 2, whi + 2), pool=pool)
-                comm.barrier()  # peers drain -> reply views reclaimable
+                out = gather(dt, comm, (hlo - 2, wlo - 2), (hhi + 2, whi + 2), pool=pool)
+                comm.barrier()  # peers drain -> strip views reclaimable
                 pool.give(out)
             return pool.stats()
 
@@ -132,8 +142,8 @@ class TestGatherScatterPayloadPooling:
             (hlo, hhi), (wlo, whi) = dt.bounds
             region = ((hlo - 1, wlo - 2), (hhi + 2, whi + 1))
             for _ in range(3):
-                got = dt.gather_region(*region, pool=pool)
-                want = dt.gather_region(*region)
+                got = gather(dt, comm, *region, pool=pool)
+                want = gather(dt, comm, *region)
                 np.testing.assert_array_equal(got, want)
                 pool.give(got)
             return True
@@ -152,10 +162,10 @@ class TestGatherScatterPayloadPooling:
             for pooled in (True, False):
                 dt = DistTensor.zeros(grid, dist, (10, 10))
                 for _ in range(2):
-                    dt.scatter_region_add(
+                    dt.start_scatter_region_add(
                         contributions[comm.rank], (comm.rank, comm.rank),
                         pool=pool if pooled else None,
-                    )
+                    ).finish()
                 outs.append(dt.to_global())
             np.testing.assert_array_equal(outs[0], outs[1])
             return True

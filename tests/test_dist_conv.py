@@ -170,7 +170,7 @@ class TestDistConvExactness:
             grid = ProcessGrid(comm, (1, 2, 1, 1))
             DistConv2d(grid, np.zeros((2, 2, 3, 3)))
 
-        with pytest.raises(ValueError, match="channel_filter"):
+        with pytest.raises(ValueError, match="channel parallelism is not implemented"):
             run_spmd(2, prog, timeout=10)
 
     def test_backward_before_forward(self):

@@ -6,9 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm import run_spmd
-from repro.tensor import DistTensor, Distribution, ProcessGrid
+from repro.tensor import DistTensor, Distribution, ProcessGrid, start_region_exchange
 from repro.tensor.distribution import DimKind
 from repro.tensor.indexing import extract_padded
+
+
+def gather(dt, comm, lo, hi, fill=0.0, pool=None):
+    """Blocking region gather: the region exchange finished at once."""
+    return start_region_exchange(
+        dt, lo, hi, peer_regions=comm.allgather((lo, hi)), fill=fill, pool=pool
+    ).finish()
 
 
 def make_grid_prog(grid_shape, dist, global_array, body):
@@ -152,8 +159,8 @@ class TestFromToGlobal:
 class TestGatherRegion:
     @pytest.mark.parametrize("grid_shape", [(2, 2), (1, 4), (4, 1)])
     def test_matches_extract_padded(self, grid_shape):
-        """gather_region on a distributed tensor == extract_padded on the
-        global array, for regions spanning partitions and boundaries."""
+        """A region exchange on a distributed tensor == extract_padded on
+        the global array, for regions spanning partitions and boundaries."""
         rng = np.random.default_rng(1)
         x = rng.standard_normal((9, 11))
         dist = Distribution.make(grid_shape)
@@ -168,7 +175,7 @@ class TestGatherRegion:
         def body(dt, comm):
             outs = []
             for lo, hi in regions:
-                outs.append(dt.gather_region(lo, hi))
+                outs.append(gather(dt, comm, lo, hi))
             return outs
 
         results = run_spmd(4, make_grid_prog(grid_shape, dist, x, body))
@@ -184,7 +191,7 @@ class TestGatherRegion:
 
         def body(dt, comm):
             (hlo, hhi), (wlo, whi) = dt.bounds
-            got = dt.gather_region((hlo - 1, wlo - 1), (hhi + 1, whi + 1))
+            got = gather(dt, comm, (hlo - 1, wlo - 1), (hhi + 1, whi + 1))
             want = extract_padded(x, (hlo - 1, wlo - 1), (hhi + 1, whi + 1))
             np.testing.assert_array_equal(got, want)
             return True
@@ -198,7 +205,7 @@ class TestGatherRegion:
         dist = Distribution.make((2, 2), replicated_axes=[0])
 
         def body(dt, comm):
-            got = dt.gather_region((0, 2), (2, 10))
+            got = gather(dt, comm, (0, 2), (2, 10))
             np.testing.assert_array_equal(got, x[:, 2:10])
             return True
 
@@ -210,10 +217,10 @@ class TestGatherRegion:
 
         def body(dt, comm):
             if comm.rank == 0:
-                got = dt.gather_region((0, 0), (10, 10))
+                got = gather(dt, comm, (0, 0), (10, 10))
                 np.testing.assert_array_equal(got, x)
             else:
-                dt.gather_region((0, 0), (0, 0))
+                gather(dt, comm, (0, 0), (0, 0))
             return True
 
         assert all(run_spmd(4, make_grid_prog((4, 1), dist, x, body)))
@@ -223,7 +230,7 @@ class TestGatherRegion:
         dist = Distribution.make((2, 2))
 
         def body(dt, comm):
-            got = dt.gather_region((-1, 0), (0, 4), fill=9.0)
+            got = gather(dt, comm, (-1, 0), (0, 4), fill=9.0)
             np.testing.assert_array_equal(got, np.full((1, 4), 9.0))
             return True
 
@@ -241,7 +248,7 @@ class TestScatterRegionAdd:
             dt = DistTensor.zeros(grid, dist, (8,))
             lo, hi = dt.bounds[0]
             region = np.ones(hi - lo + 2)
-            dt.scatter_region_add(region, (lo - 1,))
+            dt.start_scatter_region_add(region, (lo - 1,)).finish()
             return dt.to_global()
 
         for got in run_spmd(2, prog):
@@ -263,12 +270,15 @@ class TestScatterRegionAdd:
         def prog(comm):
             grid = ProcessGrid(comm, (2, 2))
             dt = DistTensor.from_global(grid, dist, x)
-            gathered = dt.gather_region(lo, hi) if comm.rank == 0 else dt.gather_region((0, 0), (0, 0))
+            gathered = (
+                gather(dt, comm, lo, hi) if comm.rank == 0
+                else gather(dt, comm, (0, 0), (0, 0))
+            )
             acc = DistTensor.zeros(grid, dist, x.shape)
             if comm.rank == 0:
-                acc.scatter_region_add(y, lo)
+                acc.start_scatter_region_add(y, lo).finish()
             else:
-                acc.scatter_region_add(np.zeros((0, 0)), (0, 0))
+                acc.start_scatter_region_add(np.zeros((0, 0)), (0, 0)).finish()
             sy = acc.to_global()
             return gathered, sy
 
@@ -287,7 +297,7 @@ class TestScatterRegionAdd:
             grid = ProcessGrid(comm, (2, 2))
             dt = DistTensor.zeros(grid, dist, (3, 8))
             lo, hi = dt.bounds[1]
-            dt.scatter_region_add(np.ones((3, hi - lo)), (0, lo))
+            dt.start_scatter_region_add(np.ones((3, hi - lo)), (0, lo)).finish()
             return dt.local.copy()
 
         shards = run_spmd(4, prog)
@@ -328,7 +338,7 @@ class TestDistTensorValidation:
     ),
 )
 def test_gather_region_property(h, w, dlo, extent):
-    """gather_region == extract_padded for arbitrary regions and sizes."""
+    """A region exchange == extract_padded for arbitrary regions and sizes."""
     rng = np.random.default_rng(h * 100 + w)
     x = rng.standard_normal((h, w))
     dist = Distribution.make((2, 2))
@@ -338,7 +348,7 @@ def test_gather_region_property(h, w, dlo, extent):
     def prog(comm):
         grid = ProcessGrid(comm, (2, 2))
         dt = DistTensor.from_global(grid, dist, x)
-        return dt.gather_region(lo, hi)
+        return gather(dt, comm, lo, hi)
 
     for got in run_spmd(4, prog):
         np.testing.assert_array_equal(got, extract_padded(x, lo, hi))

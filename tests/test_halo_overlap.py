@@ -23,8 +23,10 @@ from repro.core.dist_conv import DistConv2d
 from repro.core.dist_layers import DistPool2d
 from repro.core.parallelism import activation_dist
 from repro.nn import NetworkSpec, SGD
+from repro.nn import functional as F
 from repro.tensor import DistTensor, Distribution, ProcessGrid
 from repro.tensor.halo import HALO_OP, start_region_exchange
+from repro.tensor.indexing import extract_padded
 
 
 def run_dist_conv(
@@ -212,10 +214,129 @@ class TestPoolOverlapEquivalence:
             assert exchanges == 1  # the forward gather, nonblocking
 
 
+class TestNothingToExchange:
+    """A layer whose regions are all local makes no communication call."""
+
+    @staticmethod
+    def _assert_silent(stats) -> None:
+        assert stats.collectives == {}, stats.collectives
+        assert (stats.sends, stats.recvs) == (0, 0)
+
+    @pytest.mark.parametrize("mode", ["max", "avg"])
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_sample_parallel_pool(self, mode, overlap, backend):
+        """Forward and backward of a sample-parallel pool: the reverse
+        scatter is all local, so no zero-byte all-to-all is issued."""
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((4, 2, 9, 9))
+
+        def prog(comm):
+            grid = ProcessGrid(comm, (2, 1, 1, 1))
+            xd = DistTensor.from_global(grid, activation_dist(grid.shape, x.shape), x)
+            pool = DistPool2d(grid, mode, 3, 2, 1, overlap_halo=overlap)
+            comm.stats.reset()
+            y = pool.forward(xd)
+            dy = DistTensor.from_global(grid, y.dist, np.ones(y.global_shape))
+            dx = pool.backward(dy)
+            self._assert_silent(comm.stats)
+            return y.local.copy(), dx.local.copy()
+
+        (y0, dx0), (y1, dx1) = run_spmd(2, prog, backend=backend)
+        if mode == "max":
+            y_ref, argmax = F.maxpool2d_forward(x, (3, 3), (2, 2), 1)
+            dx_ref = F.maxpool2d_backward(
+                np.ones(y_ref.shape), argmax, x.shape, (3, 3), (2, 2), 1
+            )
+        else:
+            y_ref = F.avgpool2d_forward(x, (3, 3), (2, 2), 1)
+            dx_ref = F.avgpool2d_backward(
+                np.ones(y_ref.shape), x.shape, (3, 3), (2, 2), 1
+            )
+        np.testing.assert_array_equal(np.concatenate([y0, y1]), y_ref)
+        np.testing.assert_array_equal(np.concatenate([dx0, dx1]), dx_ref)
+
+    def test_sample_parallel_conv_without_overlap(self, backend):
+        """With ``overlap_halo=False`` a sample-parallel conv still reads its
+        regions locally: no gather collective in forward or backward."""
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((4, 2, 6, 6))
+        w = rng.standard_normal((3, 2, 3, 3))
+
+        def prog(comm):
+            grid = ProcessGrid(comm, (2, 1, 1, 1))
+            xd = DistTensor.from_global(grid, activation_dist(grid.shape, x.shape), x)
+            conv = DistConv2d(grid, w, stride=1, pad=1, overlap_halo=False)
+            comm.stats.reset()
+            y = conv.forward(xd)
+            dy = DistTensor.from_global(grid, y.dist, np.ones(y.global_shape))
+            conv.backward(dy)
+            self._assert_silent(comm.stats)
+            return True
+
+        assert all(run_spmd(2, prog, backend=backend))
+
+
+def traffic(stats) -> tuple:
+    """Everything a rank put on or took off the wire, per op."""
+    return (
+        stats.sends,
+        stats.recvs,
+        stats.bytes_sent,
+        stats.bytes_received,
+        dict(stats.collectives),
+        dict(stats.collective_bytes),
+    )
+
+
+class TestBlockingIsOverlapFinishedAtOnce:
+    """``overlap_halo=False`` only moves ``finish()`` next to the start: the
+    layer sends the same messages with the same bytes in both modes."""
+
+    @pytest.mark.parametrize("grid_shape,n,c,h,w_,f,k,s,p", GEOMETRIES[:3])
+    def test_conv_traffic_identical(self, grid_shape, n, c, h, w_, f, k, s, p):
+        nranks = int(np.prod(grid_shape))
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((n, c, h, w_))
+        w = rng.standard_normal((f, c, k, k))
+
+        def prog(comm, overlap):
+            grid = ProcessGrid(comm, grid_shape)
+            xd = DistTensor.from_global(grid, activation_dist(grid_shape, x.shape), x)
+            conv = DistConv2d(grid, w, stride=s, pad=p, overlap_halo=overlap)
+            comm.stats.reset()
+            y = conv.forward(xd)
+            conv.backward(DistTensor.from_global(grid, y.dist, np.ones(y.global_shape)))
+            return traffic(comm.stats)
+
+        blocking = run_spmd(nranks, prog, False)
+        overlapped = run_spmd(nranks, prog, True)
+        assert any(t[0] for t in blocking)  # the geometry does exchange halos
+        assert overlapped == blocking
+
+    @pytest.mark.parametrize("mode", ["max", "avg"])
+    def test_pool_traffic_identical(self, mode):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((2, 3, 9, 11))
+
+        def prog(comm, overlap):
+            grid = ProcessGrid(comm, (1, 1, 2, 2))
+            xd = DistTensor.from_global(grid, activation_dist(grid.shape, x.shape), x)
+            pool = DistPool2d(grid, mode, 3, 2, 1, overlap_halo=overlap)
+            comm.stats.reset()
+            y = pool.forward(xd)
+            pool.backward(DistTensor.from_global(grid, y.dist, np.ones(y.global_shape)))
+            return traffic(comm.stats)
+
+        blocking = run_spmd(4, prog, False)
+        overlapped = run_spmd(4, prog, True)
+        assert any(t[0] for t in blocking)
+        assert overlapped == blocking
+
+
 class TestRegionExchange:
     def test_matches_gather_region(self, backend):
-        """The overlapped exchange assembles exactly what gather_region
-        fetches — including virtual padding and uneven partitions."""
+        """The overlapped exchange assembles exactly the region of the
+        global array — including virtual padding and uneven partitions."""
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 3, 9, 11))
         grid_shape = (1, 1, 2, 2)
@@ -238,7 +359,7 @@ class TestRegionExchange:
             lo, hi = regions[comm.rank]
             ex = start_region_exchange(dt, lo, hi, regions)
             got = ex.finish().copy()
-            want = dt.gather_region(lo, hi)
+            want = extract_padded(x, lo, hi)
             np.testing.assert_array_equal(got, want)
             return True
 

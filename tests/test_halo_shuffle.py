@@ -6,9 +6,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm import run_spmd
-from repro.tensor import DistTensor, Distribution, ProcessGrid, halo_exchange, shuffle
+from repro.tensor import (
+    DistTensor,
+    Distribution,
+    ProcessGrid,
+    shuffle,
+    start_region_exchange,
+)
 from repro.tensor.indexing import extract_padded
 from repro.tensor.shuffle import shuffle_cost_bytes
+
+
+def halo_region(bounds, width):
+    """The local block ``bounds`` widened by ``width`` cells per axis."""
+    lo = tuple(b - w for (b, _), w in zip(bounds, width))
+    hi = tuple(h + w for (_, h), w in zip(bounds, width))
+    return lo, hi
+
+
+def halo_exchange(dt, width):
+    """Fill a width-``width`` halo around the local block: the region
+    exchange finished at once.  Every rank's region follows from the shared
+    geometry, so no request round-trip precedes the exchange."""
+    regions = [
+        halo_region(dt.dist.local_bounds(dt.global_shape, dt.grid.coords_of(r)), width)
+        for r in range(dt.comm.size)
+    ]
+    lo, hi = halo_region(dt.bounds, width)
+    return start_region_exchange(dt, lo, hi, peer_regions=regions).finish()
 
 
 class TestHaloExchange:
@@ -30,8 +55,8 @@ class TestHaloExchange:
         assert all(run_spmd(nranks, prog))
 
     def test_width_two_with_corners(self):
-        """Width-2 halos on a 2x2 grid: corner data crosses diagonally via the
-        two-phase exchange."""
+        """Width-2 halos on a 2x2 grid: corner data comes straight from the
+        diagonal owner."""
         x = np.arange(144.0).reshape(12, 12)
         dist = Distribution.make((2, 2))
 
@@ -53,11 +78,12 @@ class TestHaloExchange:
         def prog(comm):
             grid = ProcessGrid(comm, (2, 2))
             dt = DistTensor.from_global(grid, dist, x)
+            comm.stats.reset()
             got = halo_exchange(dt, (0, 0))
             np.testing.assert_array_equal(got, dt.local)
-            return True
+            return comm.stats.sends
 
-        assert all(run_spmd(4, prog))
+        assert run_spmd(4, prog) == [0, 0, 0, 0]
 
     def test_4d_cnn_layout(self):
         """Halo only on spatial axes of an (N, C, H, W) tensor."""
@@ -80,17 +106,22 @@ class TestHaloExchange:
 
         assert all(run_spmd(4, prog))
 
-    def test_width_exceeding_block_raises(self):
-        x = np.zeros((4, 4))
+    def test_width_exceeding_block_reaches_past_neighbor(self):
+        """A halo wider than the neighbor's block is assembled from every
+        owner it overlaps, not only the adjacent rank."""
+        x = np.arange(16.0).reshape(4, 4)
         dist = Distribution.make((4, 1))
 
         def prog(comm):
             grid = ProcessGrid(comm, (4, 1))
             dt = DistTensor.from_global(grid, dist, x)
-            halo_exchange(dt, (2, 0))
+            got = halo_exchange(dt, (2, 0))
+            (hlo, hhi), (wlo, whi) = dt.bounds
+            want = extract_padded(x, (hlo - 2, wlo), (hhi + 2, whi))
+            np.testing.assert_array_equal(got, want)
+            return True
 
-        with pytest.raises(ValueError, match="use gather_region"):
-            run_spmd(4, prog, timeout=10)
+        assert all(run_spmd(4, prog, timeout=10))
 
     def test_message_count_matches_paper(self):
         """Two messages per split axis per rank (interior ranks), as in the

@@ -20,7 +20,8 @@ from repro.comm import run_spmd
 from repro.core import DistNetwork, DistTrainer, LayerParallelism
 from repro.core.parallelism import ParallelStrategy
 from repro.nn import NetworkSpec, SGD
-from repro.tensor.shuffle import SHUFFLE_OP, shuffle_plan_stats
+from repro.tensor import DistTensor, Distribution, ProcessGrid
+from repro.tensor.shuffle import SHUFFLE_OP, shuffle_plan_stats, start_shuffle
 
 
 def mixed_model() -> NetworkSpec:
@@ -131,6 +132,62 @@ class TestShuffleOverlapBitwiseEquivalence:
             return True
 
         assert all(run_spmd(4, prog))
+
+
+class TestBlockingIsOverlapFinishedAtOnce:
+    """``overlap_shuffle=False`` starts the same exchanges and finishes each
+    one at once, so a training step moves identical traffic in both modes."""
+
+    @pytest.mark.parametrize("label", list(STRATEGIES))
+    def test_training_step_traffic_identical(self, label):
+        spec = mixed_model()
+        strategy = STRATEGIES[label]
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((4, 2, 9, 11))
+        t = rng.integers(0, 3, size=4)
+
+        def prog(comm, overlap):
+            net = DistNetwork(spec, comm, strategy, seed=0, overlap_shuffle=overlap)
+            trainer = DistTrainer(net, SGD(lr=0.05))
+            comm.stats.reset()
+            trainer.step(x, t)
+            s = comm.stats
+            return (
+                s.sends,
+                s.recvs,
+                s.bytes_sent,
+                s.bytes_received,
+                dict(s.collectives),
+                dict(s.collective_bytes),
+            )
+
+        blocking = run_spmd(4, prog, False)
+        overlapped = run_spmd(4, prog, True)
+        assert all(b[4].get(SHUFFLE_OP, 0) > 0 for b in blocking)
+        assert overlapped == blocking
+
+    def test_second_finish_returns_cached_result(self):
+        """Finishing an exchange twice neither re-waits nor re-assembles:
+        the blocking path may finish an exchange its consumer finishes
+        again."""
+        x = np.arange(48.0).reshape(6, 8)
+
+        def prog(comm):
+            src = DistTensor.from_global(
+                ProcessGrid(comm, (4, 1)), Distribution.make((4, 1)), x
+            )
+            dst_grid = ProcessGrid(comm, (1, 4))
+            ex = start_shuffle(src, dst_grid, Distribution.make((1, 4)))
+            first = ex.finish()
+            comm.stats.reset()
+            again = ex.finish()
+            assert again is first
+            assert (comm.stats.sends, comm.stats.recvs) == (0, 0)
+            assert comm.stats.collectives == {}
+            return first.to_global()
+
+        for got in run_spmd(4, prog):
+            np.testing.assert_array_equal(got, x)
 
 
 class TestShuffleAccounting:
